@@ -21,8 +21,9 @@ x = np.vstack([
     np.tile(slots[1], (5, 1)),
 ]) + rng.normal(scale=0.01, size=(10, 6))
 
-m_sx = adjacency(slots, x, tau=0.05).value
-print("slot 0 walk mass on its own cluster:", m_sx[0, :5].sum())
+m_sx, m_xs = adjacency(slots, x, tau=0.05)  # slots -> cells, cells -> slots
+print("slot 0 walk mass on its own cluster:", m_sx.value[0, :5].sum())
+print("cell 0 walk mass on slot 0:", m_xs.value[0, 0])
 print("wpw loss (should be ~0):", float(wpw_loss(slots, x, 0.05).value[0, 0]))
 
 print("\n== the parts-whole-parts target ==")

@@ -46,9 +46,9 @@ def as_matrix(data, name: str = "matrix") -> Array:
 class Node:
     """One vertex of the differentiation graph.
 
-    `value` holds the forward result; `grad` accumulates d(loss)/d(value)
-    during `backward`. `_vjps[i]` maps the output gradient to the i-th
-    parent's gradient contribution.
+    `value` holds the forward result; `grad` holds d(loss)/d(value) once
+    `backward` has reached the node (a fresh leaf holds zeros, an op None).
+    `_vjps[i]` maps the output gradient to the i-th parent's gradient.
     """
 
     __slots__ = ("value", "grad", "needs_grad", "_parents", "_vjps")
@@ -61,7 +61,7 @@ class Node:
         needs_grad: bool | None = None,
     ):
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad: Array | None = None
         self._parents = parents
         self._vjps = vjps
         if needs_grad is None:
@@ -78,8 +78,10 @@ class Node:
 
 
 def leaf(value) -> Node:
-    """Trainable leaf; `backward` fills its gradient."""
-    return Node(as_matrix(value, "leaf"), needs_grad=True)
+    """Trainable leaf; `backward` fills its gradient (zeros if unreachable)."""
+    node = Node(as_matrix(value, "leaf"), needs_grad=True)
+    node.grad = np.zeros_like(node.value)
+    return node
 
 
 def constant(value) -> Node:
@@ -321,7 +323,8 @@ def backward(loss: Node) -> None:
 
     The loss must be 1 x 1. Gradients of all nodes on the path are reset
     before accumulation, so calling backward on a fresh graph is always
-    exact; graphs are not meant to be reused across calls.
+    exact; graphs are not meant to be reused across calls. Contributions
+    are summed out of place: a vjp may return its input or a view of it.
     """
     if loss.value.shape != (1, 1):
         raise ShapeError(f"backward: loss must be 1x1, got {loss.value.shape}")
@@ -341,13 +344,13 @@ def backward(loss: Node) -> None:
             if id(p) not in seen and p.needs_grad:
                 stack.append((p, False))
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     loss.grad = np.ones((1, 1))
     for node in reversed(order):
         g = node.grad
         for parent, vjp in zip(node._parents, node._vjps):
             if parent.needs_grad:
-                parent.grad += vjp(g)
+                parent.grad = vjp(g) if parent.grad is None else parent.grad + vjp(g)
 
 
 def finite_difference_gradients(

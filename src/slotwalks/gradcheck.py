@@ -8,39 +8,27 @@ finite differences.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import autodiff as ad
 from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, pwp_target, total_loss
 
+_SLOT_FIELDS = tuple(f.name for f in dataclasses.fields(SlotParams))
+_PROJ_FIELDS = tuple(f.name for f in dataclasses.fields(WalkProjection))
+
+# field-name prefix -> reporting group; any other parameter reports alone
+_GROUP_PREFIXES = (("w_", "qkv"), ("gru_", "gru"), ("ln_", "layer_norm"))
+
 # parameter name -> reporting group
 PARAM_GROUPS = {
-    "mu": "mu",
-    "log_sigma": "log_sigma",
-    "w_q": "qkv",
-    "w_k": "qkv",
-    "w_v": "qkv",
-    "gru_wz": "gru",
-    "gru_uz": "gru",
-    "gru_bz": "gru",
-    "gru_wr": "gru",
-    "gru_ur": "gru",
-    "gru_br": "gru",
-    "gru_wh": "gru",
-    "gru_uh": "gru",
-    "gru_bh": "gru",
-    "ln_x_gain": "layer_norm",
-    "ln_x_bias": "layer_norm",
-    "ln_s_gain": "layer_norm",
-    "ln_s_bias": "layer_norm",
-    "p_x": "p_x",
-    "p_s": "p_s",
+    name: next((group for prefix, group in _GROUP_PREFIXES if name.startswith(prefix)), name)
+    for name in _SLOT_FIELDS + _PROJ_FIELDS
 }
 
 GROUP_ORDER = ("mu", "log_sigma", "qkv", "gru", "layer_norm", "p_x", "p_s")
-
-_SLOT_FIELDS = tuple(k for k in PARAM_GROUPS if k not in ("p_x", "p_s"))
 
 
 def full_model_errors(
@@ -80,7 +68,7 @@ def full_model_errors(
 
     def make_loss(nodes):
         p = SlotParams(**{f: nodes[f] for f in _SLOT_FIELDS})
-        pr = WalkProjection(p_x=nodes["p_x"], p_s=nodes["p_s"])
+        pr = WalkProjection(**{f: nodes[f] for f in _PROJ_FIELDS})
         x_node = ad.constant(x)
         slots_hat, _ = encode(x_node, p, iterations, mode="train", seed=slot_seed)
         return total_loss(x_node, slots_hat, pr, cfg, pwp_frozen_target=frozen_target)

@@ -32,6 +32,13 @@ def _require_labels(scene: Scene, label: str) -> np.ndarray:
     return scene.labels
 
 
+def _walks(features, params: SlotParams, proj: WalkProjection, cfg: WalkConfig, iterations: int):
+    """Eval-mode (m_sx, m_xs) of one scene: the K x N and N x K walk matrices."""
+    slots_hat, _ = encode(features, params, iterations, mode="eval")
+    m_sx, m_xs = adjacency(ad.matmul(slots_hat, proj.p_s), ad.matmul(features, proj.p_x), cfg.tau)
+    return m_sx.value, m_xs.value
+
+
 def slot_masks(
     features: np.ndarray,
     params: SlotParams,
@@ -40,12 +47,8 @@ def slot_masks(
     iterations: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Soft N x K masks (rows sum to 1) and hard per-cell slot labels."""
-    slots_hat, _ = encode(features, params, iterations, mode="eval")
-    feats_p = ad.matmul(features, proj.p_x)
-    slots_p = ad.matmul(slots_hat, proj.p_s)
-    soft = adjacency(feats_p, slots_p, cfg.tau).value
-    hard = np.argmax(soft, axis=1)
-    return soft, hard
+    _, soft = _walks(features, params, proj, cfg, iterations)
+    return soft, np.argmax(soft, axis=1)
 
 
 def foreground_select(
@@ -67,6 +70,16 @@ def foreground_select(
     return best, hard_labels == best
 
 
+def _evaluate(report: EvalReport, score, scenes, params, proj, cfg, iterations: int) -> EvalReport:
+    """One row per scene from score(hard slot labels, ground-truth labels), then the mean."""
+    for i, scene in enumerate(_sorted_scenes(scenes)):
+        labels = _require_labels(scene, f"evaluate {report.task}: scene {i}")
+        _, hard = slot_masks(scene.features, params, proj, cfg, iterations)
+        report.add(scene.name or str(i), score(hard, labels))
+    report.finalize_mean()
+    return report
+
+
 def evaluate_foreground(
     scenes: Sequence[Scene],
     params: SlotParams,
@@ -75,15 +88,14 @@ def evaluate_foreground(
     iterations: int,
 ) -> EvalReport:
     """Foreground extraction: mIoU and Dice per scene against labels != 0."""
-    report = EvalReport(task="fg", columns=["miou", "dice"])
-    for i, scene in enumerate(_sorted_scenes(scenes)):
-        labels = _require_labels(scene, f"evaluate_foreground: scene {i}")
+
+    def score(hard, labels):
         gt = labels != 0
-        _, hard = slot_masks(scene.features, params, proj, cfg, iterations)
         _, pred = foreground_select(hard, params.num_slots, gt)
-        report.add(scene.name or str(i), {"miou": miou(pred, gt), "dice": dice(pred, gt)})
-    report.finalize_mean()
-    return report
+        return {"miou": miou(pred, gt), "dice": dice(pred, gt)}
+
+    report = EvalReport(task="fg", columns=["miou", "dice"])
+    return _evaluate(report, score, scenes, params, proj, cfg, iterations)
 
 
 def evaluate_discovery(
@@ -95,13 +107,10 @@ def evaluate_discovery(
 ) -> EvalReport:
     """Object discovery: adjusted Rand index on the labeled foreground."""
     report = EvalReport(task="discovery", columns=["ari_fg"])
-    for i, scene in enumerate(_sorted_scenes(scenes)):
-        labels = _require_labels(scene, f"evaluate_discovery: scene {i}")
-        _, hard = slot_masks(scene.features, params, proj, cfg, iterations)
-        value = ari_fg(hard, labels, labels != 0)
-        report.add(scene.name or str(i), {"ari_fg": value})
-    report.finalize_mean()
-    return report
+    return _evaluate(
+        report, lambda hard, labels: {"ari_fg": ari_fg(hard, labels, labels != 0)},
+        scenes, params, proj, cfg, iterations,
+    )
 
 
 def semantic_segment(
@@ -130,13 +139,9 @@ def semantic_segment(
     gt_all: list[np.ndarray] = []
     for i, scene in enumerate(ordered):
         labels = _require_labels(scene, f"semantic_segment: scene {i}")
-        slots_hat, _ = encode(scene.features, params, iterations, mode="eval")
-        feats_p = ad.matmul(scene.features, proj.p_x)
-        slots_p = ad.matmul(slots_hat, proj.p_s)
-        m_sx = adjacency(slots_p, feats_p, cfg.tau).value
+        m_sx, m_xs = _walks(scene.features, params, proj, cfg, iterations)
         pooled.append(m_sx @ scene.features)
-        soft = adjacency(feats_p, slots_p, cfg.tau).value
-        cell_slot.append(np.argmax(soft, axis=1))
+        cell_slot.append(np.argmax(m_xs, axis=1))
         gt_all.append(np.asarray(labels))
     pool = np.concatenate(pooled, axis=0)
     if pool.shape[0] < num_classes:

@@ -28,7 +28,7 @@ from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, total_loss
 
 CHECKPOINT_MAGIC = b"OCWC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     seed: int = 0
     checkpoint_interval: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.attn_dim == 0:
@@ -74,8 +73,6 @@ class TrainConfig:
             raise ConfigError("TrainConfig: base_lr and weight_decay must be >= 0")
         if self.decay_half_life_steps < 1:
             raise ConfigError("TrainConfig: decay_half_life_steps must be >= 1")
-        if self.workers < 1:
-            raise ConfigError(f"TrainConfig: workers must be >= 1, got {self.workers}")
         if self.checkpoint_interval < 0:
             raise ConfigError("TrainConfig: checkpoint_interval must be >= 0")
         self.walk()  # validates tau / gamma / alpha / beta / walk_dim
@@ -89,7 +86,7 @@ class TrainConfig:
 _INT_KEYS = {
     "num_slots", "input_dim", "slot_dim", "attn_dim", "iterations", "walk_dim",
     "warmup_steps", "total_steps", "decay_half_life_steps", "batch_size", "seed",
-    "checkpoint_interval", "workers",
+    "checkpoint_interval",
 }
 _FLOAT_KEYS = {
     "tau", "gamma", "alpha", "beta", "base_lr", "clip_norm", "weight_decay",
@@ -244,6 +241,18 @@ def _batch_loss(
     return ad.scale(total, 1.0 / len(indices))
 
 
+def _open_trace(path: Path, start_step: int):
+    """Open the trace for writing, keeping only its lines for steps before start_step."""
+    lines = path.read_text().splitlines(keepends=True) if start_step > 0 and path.exists() else []
+    try:
+        kept = [line for line in lines if int(line.split("\t", 1)[0]) < start_step]
+    except ValueError:
+        raise DataFormatError(f"{path}: a line does not start with a step number") from None
+    trace = open(path, "w")
+    trace.writelines(kept)
+    return trace
+
+
 def train(
     scenes: Sequence[Scene],
     cfg: TrainConfig,
@@ -252,10 +261,11 @@ def train(
 ) -> TrainResult:
     """Run the optimization loop over the dataset.
 
-    When out_dir is given, appends `step<TAB>loss<TAB>lr` lines to
-    out_dir/trace.txt, writes out_dir/checkpoint.ocwc at the end, and
-    numbered checkpoints every checkpoint_interval steps. `resume` may
-    name a checkpoint whose config hash must match cfg.
+    When out_dir is given, writes `step<TAB>loss<TAB>lr` lines to
+    out_dir/trace.txt (a resume keeps the lines of earlier steps, a fresh
+    run none), out_dir/checkpoint.ocwc at the end, and numbered checkpoints
+    every checkpoint_interval steps. `resume` may name a checkpoint whose
+    config hash must match cfg.
     """
     if not scenes:
         raise ConfigError("train: dataset is empty")
@@ -290,7 +300,7 @@ def train(
     trace = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        trace = open(out_path / "trace.txt", "a")
+        trace = _open_trace(out_path / "trace.txt", start_step)
 
     result = TrainResult(params=params, proj=proj, opt=opt, config=cfg, steps_run=start_step)
     try:

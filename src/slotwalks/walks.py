@@ -1,7 +1,8 @@
 """Two-hop walk losses tying slot vectors ("whole") to feature vectors ("parts").
 
 A walk between two node sets is a row-stochastic adjacency matrix of
-temperature-softmaxed cosine similarities. Training asks two round trips
+temperature-softmaxed cosine similarities; both directions come from one
+slot-feature cosine matrix (`adjacency`). Training asks two round trips
 to be consistent:
 
 * whole -> parts -> whole: the composed K x K transition should be the
@@ -17,6 +18,7 @@ shared walk space of width `dim`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -24,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DegenerateInputError
+from .errors import ConfigError
 
 _NO_THRESHOLD = float("-inf")
 
@@ -82,21 +84,20 @@ class WalkProjection:
         return dataclasses.replace(self, **{k: ad.leaf(v) for k, v in self.named().items()})
 
 
-def adjacency(a, b, tau: float) -> ad.Node:
-    """Row-stochastic transition matrix from the rows of a to the rows of b.
+def adjacency(slots_p, feats_p, tau: float) -> tuple[ad.Node, ad.Node]:
+    """Both walk transition matrices, from one cosine matrix (the walk kernel).
 
-    Both inputs are l2-normalized per row, the m x n cosine similarities
-    are divided by tau, and each row is softmaxed.
+    Each input is l2-normalized per row once, S holds the K x N cosine
+    similarities, and the result is (m_sx, m_xs) = (softmax_rows(S / tau),
+    softmax_rows(S^T / tau)): slots -> features and features -> slots.
     """
-    an = ad.l2_normalize_rows(a)
-    bn = ad.l2_normalize_rows(b)
-    return ad.softmax(ad.matmul(an, ad.transpose(bn)), "rows", tau)
+    sims = ad.matmul(ad.l2_normalize_rows(slots_p), ad.transpose(ad.l2_normalize_rows(feats_p)))
+    return ad.softmax(sims, "rows", tau), ad.softmax(ad.transpose(sims), "rows", tau)
 
 
 def wpw_loss(slots_p, feats_p, tau: float) -> ad.Node:
     """Cross entropy of the whole->parts->whole round trip against the identity."""
-    m_sx = adjacency(slots_p, feats_p, tau)
-    m_xs = adjacency(feats_p, slots_p, tau)
+    m_sx, m_xs = adjacency(slots_p, feats_p, tau)
     round_trip = ad.matmul(m_sx, m_xs)
     k = round_trip.value.shape[0]
     return ad.cross_entropy_rows(round_trip, ad.constant(np.eye(k)))
@@ -114,13 +115,7 @@ def pwp_target(feats_p, gamma: float) -> np.ndarray:
         raise ConfigError(
             f"pwp_target: gamma must be < 1 so self-similarity survives, got {gamma}"
         )
-    v = feats_p.value if isinstance(feats_p, ad.Node) else ad.as_matrix(feats_p, "feats_p")
-    norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
-    small = norms[:, 0] <= 1e-12
-    if small.any():
-        idx = int(np.argmax(small))
-        raise DegenerateInputError(f"pwp_target: row {idx} has near-zero norm")
-    f = v / norms
+    f = ad.l2_normalize_rows(feats_p).value
     sims = f @ f.T
     logits = np.where(sims <= gamma, -np.inf, sims)
     # self-similarity is exactly 1 mathematically; keep the diagonal even
@@ -143,8 +138,7 @@ def pwp_loss(
     """
     if target is None:
         target = pwp_target(feats_p, gamma)
-    m_xs = adjacency(feats_p, slots_p, tau)
-    m_sx = adjacency(slots_p, feats_p, tau)
+    m_sx, m_xs = adjacency(slots_p, feats_p, tau)
     round_trip = ad.matmul(m_xs, m_sx)
     return ad.cross_entropy_rows(round_trip, ad.constant(target))
 
@@ -173,7 +167,4 @@ def total_loss(
                 cfg.beta,
             )
         )
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return total
+    return functools.reduce(ad.add, terms)

@@ -112,8 +112,7 @@ def test_criterion_2_stochasticity_invariants():
         slots = rng.normal(size=(k, d))
         feats = rng.normal(size=(n, d))
 
-        m_sx = adjacency(slots, feats, 0.1).value
-        m_xs = adjacency(feats, slots, 0.1).value
+        m_sx, m_xs = (m.value for m in adjacency(slots, feats, 0.1))
         worst_adj = max(
             worst_adj,
             np.abs(m_sx.sum(axis=1) - 1.0).max(),

@@ -1,6 +1,7 @@
 """Tests for the schedule, optimizer, training loop, checkpoints, and config text."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -227,6 +228,30 @@ class TestTrainLoop:
         resumed_trace = (tmp_path / "resumed" / "trace.txt").read_text().splitlines()
         assert resumed_trace == full_trace[8:]
 
+    def test_fresh_run_truncates_old_trace(self, tmp_path):
+        scenes = toy_scenes()
+        cfg = toy_config(total_steps=3, warmup_steps=1)
+        train(scenes, cfg, out_dir=tmp_path)
+        train(scenes, cfg, out_dir=tmp_path)
+        assert len((tmp_path / "trace.txt").read_text().splitlines()) == 3
+
+    def test_resume_in_place_keeps_one_line_per_step(self, tmp_path):
+        scenes = toy_scenes()
+        cfg = toy_config(total_steps=16, checkpoint_interval=8)
+        train(scenes, cfg, out_dir=tmp_path)
+        full_trace = (tmp_path / "trace.txt").read_text()
+        train(scenes, cfg, out_dir=tmp_path, resume=tmp_path / "checkpoint_000008.ocwc")
+        assert (tmp_path / "trace.txt").read_text() == full_trace
+
+    def test_resume_rejects_malformed_trace_and_keeps_it(self, tmp_path):
+        scenes = toy_scenes()
+        cfg = toy_config(total_steps=8, checkpoint_interval=4)
+        train(scenes, cfg, out_dir=tmp_path)
+        (tmp_path / "trace.txt").write_text("not a trace line\n")
+        with pytest.raises(DataFormatError, match="trace.txt"):
+            train(scenes, cfg, out_dir=tmp_path, resume=tmp_path / "checkpoint_000004.ocwc")
+        assert (tmp_path / "trace.txt").read_text() == "not a trace line\n"
+
     def test_resume_rejects_other_config(self, tmp_path):
         scenes = toy_scenes()
         cfg = toy_config(total_steps=8, checkpoint_interval=4)
@@ -254,6 +279,18 @@ class TestCheckpointFormat:
         path = tmp_path / "bad.ocwc"
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(DataFormatError, match="magic"):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        scenes = toy_scenes()
+        cfg = toy_config(total_steps=2, warmup_steps=1)
+        result = train(scenes, cfg)
+        path = tmp_path / "v1.ocwc"
+        save_checkpoint(path, result.params, result.proj, result.opt, 2, cfg)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="unsupported version 1"):
             load_checkpoint(path)
 
     def test_tampered_config_detected(self, tmp_path):
@@ -305,9 +342,3 @@ class TestConfigText:
     def test_warmup_exceeding_total_rejected(self):
         with pytest.raises(ConfigError):
             toy_config(warmup_steps=100, total_steps=50)
-
-    def test_workers_key_accepted(self):
-        cfg = parse_config_text("num_slots = 2\ninput_dim = 8\nworkers = 2\n")
-        assert cfg.workers == 2
-        with pytest.raises(ConfigError):
-            toy_config(workers=0)

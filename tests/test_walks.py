@@ -64,12 +64,12 @@ class TestWalkConfig:
 class TestAdjacency:
     def test_single_matching_vector(self):
         v = np.array([[0.6, 0.8]])
-        assert adjacency(v, v, 0.1).value[0, 0] == 1.0
+        assert all(m.value[0, 0] == 1.0 for m in adjacency(v, v, 0.1))
 
     def test_matching_vs_orthogonal_mass(self):
         a = np.array([[1.0, 0.0, 0.0]])
         b = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        out = adjacency(a, b, 0.05).value
+        out = adjacency(a, b, 0.05)[0].value  # the one row of a walks to b
         closed_form = np.exp(20.0) / (np.exp(20.0) + 1.0)
         assert out[0, 0] >= 1.0 - 2.1e-9
         assert abs(out[0, 0] - closed_form) <= 1e-12
@@ -77,7 +77,9 @@ class TestAdjacency:
     def test_matches_oracle(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
-        assert np.allclose(adjacency(a, b, 0.3).value, adjacency_oracle(a, b, 0.3), atol=1e-12)
+        m_ab, m_ba = adjacency(a, b, 0.3)
+        assert np.allclose(m_ab.value, adjacency_oracle(a, b, 0.3), atol=1e-12)
+        assert np.allclose(m_ba.value, adjacency_oracle(b, a, 0.3), atol=1e-12)
 
     def test_zero_row_rejected(self):
         a = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -89,17 +91,18 @@ class TestAdjacency:
         for _ in range(25):
             a = rng.normal(size=(rng.integers(1, 6), 4))
             b = rng.normal(size=(rng.integers(1, 6), 4))
-            sums = adjacency(a, b, 0.2).value.sum(axis=1)
-            assert np.max(np.abs(sums - 1.0)) <= 1e-12
+            for m in adjacency(a, b, 0.2):
+                assert np.max(np.abs(m.value.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_row_scale_invariance(self):
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
         scales_a = rng.uniform(0.1, 10.0, size=(3, 1))
         scales_b = rng.uniform(0.1, 10.0, size=(5, 1))
-        base = adjacency(a, b, 0.1).value
-        scaled = adjacency(a * scales_a, b * scales_b, 0.1).value
-        assert np.max(np.abs(base - scaled)) <= 1e-12
+        base = adjacency(a, b, 0.1)
+        scaled = adjacency(a * scales_a, b * scales_b, 0.1)
+        for m, m_scaled in zip(base, scaled):
+            assert np.max(np.abs(m.value - m_scaled.value)) <= 1e-12
 
 
 class TestWpwLoss:
@@ -142,7 +145,7 @@ class TestWpwLoss:
         for _ in range(25):
             s = rng.normal(size=(3, 5))
             x = rng.normal(size=(8, 5))
-            m = ad.matmul(adjacency(s, x, 0.1), adjacency(x, s, 0.1)).value
+            m = ad.matmul(*adjacency(s, x, 0.1)).value
             assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-9
 
 
@@ -238,6 +241,18 @@ class TestTotalLoss:
         monkeypatch.setattr(walks, "pwp_loss", boom)
         cfg = WalkConfig(alpha=1.0, beta=0.0, tau=0.1, gamma=0.7, dim=4)
         total_loss(self.x, self.s_hat, self.proj, cfg)
+
+    def test_total_loss_calls_kernel_twice(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return adjacency(*args)
+
+        monkeypatch.setattr(walks, "adjacency", counted)
+        cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
+        total_loss(self.x, self.s_hat, self.proj, cfg)
+        assert len(calls) == 2
 
     def test_coefficients_scale_terms(self):
         cfg = WalkConfig(alpha=2.0, beta=0.5, tau=0.1, gamma=0.7, dim=4)
