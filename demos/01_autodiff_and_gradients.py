@@ -12,7 +12,7 @@ rng = np.random.default_rng(0)
 
 print("== softmax rows are distributions ==")
 logits = rng.normal(size=(3, 5))
-probs = ad.softmax(logits, "rows", 0.5)
+probs = ad.softmax_rows(logits, 0.5)
 print("row sums:", probs.value.sum(axis=1))
 
 print("\n== cross entropy against a one-hot target ==")
@@ -23,14 +23,14 @@ print("loss:", float(loss.value[0, 0]))
 print("\n== backward fills leaf gradients ==")
 w = ad.leaf(rng.normal(size=(5, 4)))
 x = ad.constant(rng.normal(size=(3, 5)))
-pred = ad.softmax(ad.matmul(x, w), "rows", 1.0)
+pred = ad.softmax_rows(ad.matmul(x, w), 1.0)
 loss = ad.cross_entropy_rows(pred, np.eye(3, 4))
 ad.backward(loss)
 print("dL/dw has shape", w.grad.shape, "and norm", float(np.linalg.norm(w.grad)))
 
 print("\n== the same gradient from finite differences ==")
 def make_loss(nodes):
-    p = ad.softmax(ad.matmul(x, nodes["w"]), "rows", 1.0)
+    p = ad.softmax_rows(ad.matmul(x, nodes["w"]), 1.0)
     return ad.cross_entropy_rows(p, np.eye(3, 4))
 
 errors = ad.check_gradients(make_loss, {"w": w.value})

@@ -7,11 +7,14 @@ rebuilt from scratch for every loss evaluation and walked exactly once,
 which keeps replay deterministic.
 
 Every op accepts either a `Node` or anything `as_matrix` understands;
-raw arrays are lifted to constants that do not receive gradients.
+raw arrays and numbers are lifted to constants that do not receive
+gradients. `add`, `mul` and `div` broadcast like numpy, so a 1 x n row
+or a number (a 1 x 1 constant) stretches to the other operand's shape.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,9 +33,9 @@ _NORM_FLOOR = 1e-12
 
 
 def as_matrix(data, name: str = "matrix") -> Array:
-    """Coerce to a 2-D float64 matrix and validate it is finite and non-empty."""
+    """Coerce to a finite, non-empty 2-D float64 matrix (a number is 1 x 1, a vector one row)."""
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:
+    if arr.ndim < 2:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected 2-D data, got {arr.ndim}-D")
@@ -90,7 +93,13 @@ def constant(value) -> Node:
 
 
 def _as_node(x, name: str = "operand") -> Node:
-    return x if isinstance(x, Node) else Node(as_matrix(x, name), needs_grad=False)
+    if isinstance(x, Node):
+        return x
+    if isinstance(x, (int, float)) and math.isfinite(x):
+        # a number operand skips as_matrix's array checks, which cost more
+        # than the op it feeds
+        return Node(np.array(float(x), ndmin=2), needs_grad=False)
+    return Node(as_matrix(x, name), needs_grad=False)
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:
@@ -114,49 +123,65 @@ def transpose(a) -> Node:
     return Node(np.ascontiguousarray(a.value.T), (a,), (lambda g: g.T,))
 
 
+def _broadcast(op: str, ufunc, a: Array, b: Array) -> Array:
+    try:
+        return ufunc(a, b)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+
+def _sum_to(g: Array, shape: tuple[int, int]) -> Array:
+    """Sum g over the axes along which an operand of `shape` was stretched."""
+    if g.shape == shape:
+        return g
+    axes = tuple(i for i in (0, 1) if shape[i] != g.shape[i])
+    return g.sum(axis=axes, keepdims=True)
+
+
+def _identity(g: Array) -> Array:
+    return g
+
+
+def _add_vjp(shape: tuple[int, int], out_shape: tuple[int, int]) -> Callable[[Array], Array]:
+    # an operand that was not stretched shares one function instead of a new
+    # closure: thousands of closures per step make the garbage collector run
+    # measurably more often
+    return _identity if shape == out_shape else (lambda g: _sum_to(g, shape))
+
+
 def add(a, b) -> Node:
+    """Elementwise sum under numpy broadcasting (a 1 x n row, a number)."""
     a, b = _as_node(a), _as_node(b)
-    _same_shape(a, b, "add")
-    return Node(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
-
-
-def sub(a, b) -> Node:
-    a, b = _as_node(a), _as_node(b)
-    _same_shape(a, b, "sub")
-    return Node(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
+    out = _broadcast("add", np.add, a.value, b.value)
+    vjps = (_add_vjp(a.value.shape, out.shape), _add_vjp(b.value.shape, out.shape))
+    return Node(out, (a, b), vjps)
 
 
 def mul(a, b) -> Node:
-    """Elementwise (Hadamard) product."""
+    """Elementwise (Hadamard) product under numpy broadcasting."""
     a, b = _as_node(a), _as_node(b)
-    _same_shape(a, b, "mul")
     av, bv = a.value, b.value
-    return Node(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
-
-
-def add_row(a, row) -> Node:
-    """Add a 1 x n row vector to every row of an m x n matrix."""
-    a, row = _as_node(a), _as_node(row, "row")
-    if row.value.shape != (1, a.value.shape[1]):
-        raise ShapeError(
-            f"add_row: row shape {row.value.shape} does not match columns of {a.value.shape}"
-        )
+    out = _broadcast("mul", np.multiply, av, bv)
     return Node(
-        a.value + row.value,
-        (a, row),
-        (lambda g: g, lambda g: g.sum(axis=0, keepdims=True)),
+        out,
+        (a, b),
+        (lambda g: _sum_to(g * bv, av.shape), lambda g: _sum_to(g * av, bv.shape)),
     )
 
 
-def scale(a, c: float) -> Node:
-    a = _as_node(a)
-    c = float(c)
-    return Node(a.value * c, (a,), (lambda g: g * c,))
-
-
-def add_scalar(a, c: float) -> Node:
-    a = _as_node(a)
-    return Node(a.value + float(c), (a,), (lambda g: g,))
+def div(a, b) -> Node:
+    """Elementwise quotient a / b under numpy broadcasting."""
+    a, b = _as_node(a), _as_node(b)
+    av, bv = a.value, b.value
+    out = _broadcast("div", np.divide, av, bv)
+    return Node(
+        out,
+        (a, b),
+        (
+            lambda g: _sum_to(g / bv, av.shape),
+            lambda g: _sum_to(-(g * av / (bv * bv)), bv.shape),
+        ),
+    )
 
 
 def exp(a) -> Node:
@@ -185,40 +210,15 @@ def sum_all(a) -> Node:
     return Node(out, (a,), (lambda g: np.full_like(av, g[0, 0]),))
 
 
-def div_cols(a, denom) -> Node:
-    """Divide each column j of a by denom[0, j]."""
-    a, denom = _as_node(a), _as_node(denom, "denominator")
-    if denom.value.shape != (1, a.value.shape[1]):
-        raise ShapeError(
-            f"div_cols: denominator shape {denom.value.shape} does not match columns"
-            f" of {a.value.shape}"
-        )
-    av, dv = a.value, denom.value
-    out = av / dv
-    return Node(
-        out,
-        (a, denom),
-        (
-            lambda g: g / dv,
-            lambda g: -(g * av / (dv * dv)).sum(axis=0, keepdims=True),
-        ),
-    )
+def softmax_rows(m, tau: float) -> Node:
+    """Temperature softmax; each row becomes a distribution.
 
-
-def softmax(m, axis: str, tau: float) -> Node:
-    """Temperature softmax; each slice along `axis` becomes a distribution.
-
-    axis="rows" normalizes every row, axis="cols" every column. The max of
-    each slice is subtracted before exponentiation, which leaves the result
-    unchanged but keeps exp() in range.
+    The max of each row is subtracted before exponentiation, which leaves
+    the result unchanged but keeps exp() in range.
     """
-    if axis == "cols":
-        return transpose(softmax(transpose(m), "rows", tau))
-    if axis != "rows":
-        raise ConfigError(f'softmax: axis must be "rows" or "cols", got {axis!r}')
     tau = float(tau)
     if tau <= 0.0:
-        raise ConfigError(f"softmax: temperature must be positive, got {tau}")
+        raise ConfigError(f"softmax_rows: temperature must be positive, got {tau}")
     m = _as_node(m)
     z = m.value
     shifted = (z - z.max(axis=1, keepdims=True)) / tau

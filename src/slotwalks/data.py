@@ -15,6 +15,7 @@ a file round-trips byte-for-byte once written.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,6 +150,23 @@ def generate_scene(cfg: SceneConfig, seed) -> Scene:
     return Scene(features=np.asarray(features, dtype=np.float64), labels=labels)
 
 
+def write_bytes_atomic(path, data: bytes) -> None:
+    """Write data to a temporary file beside path, then rename it over path.
+
+    A write that fails midway leaves any previous file at path intact and
+    removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_feature_file(path, scene: Scene) -> None:
     """Write a scene as .ocwf; float64 features are truncated to float32."""
     n, dim = scene.features.shape
@@ -162,7 +180,7 @@ def write_feature_file(path, scene: Scene) -> None:
         if labels.min() < 0 or labels.max() >= 2**32:
             raise DataFormatError("write_feature_file: labels do not fit in uint32")
         payload += labels.astype("<u4").tobytes()
-    Path(path).write_bytes(header + payload)
+    write_bytes_atomic(path, header + payload)
 
 
 def read_feature_file(path) -> Scene:
@@ -187,6 +205,9 @@ def read_feature_file(path) -> Scene:
     offset = _HEADER.size
     features = np.frombuffer(raw, dtype="<f4", count=n * dim, offset=offset)
     features = features.reshape(n, dim).astype(np.float64)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataFormatError(f"{path}: non-finite feature in cell {int(np.argmin(finite))}")
     labels = None
     if label_flag:
         offset += 4 * n * dim

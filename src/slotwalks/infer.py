@@ -129,7 +129,8 @@ def semantic_segment(
     clustered into num_classes groups, clusters are matched to ground
     truth classes by IoU, and every cell inherits the class of its
     binding slot's cluster. Rows are per-class IoUs over the whole
-    dataset; the summary averages them.
+    dataset; the summary averages them. Every label must lie in
+    [0, num_classes).
     """
     if num_classes < 1:
         raise ConfigError(f"semantic_segment: num_classes must be >= 1, got {num_classes}")
@@ -138,11 +139,17 @@ def semantic_segment(
     cell_slot: list[np.ndarray] = []
     gt_all: list[np.ndarray] = []
     for i, scene in enumerate(ordered):
-        labels = _require_labels(scene, f"semantic_segment: scene {i}")
+        labels = np.asarray(_require_labels(scene, f"semantic_segment: scene {i}"))
+        outside = (labels < 0) | (labels >= num_classes)
+        if outside.any():
+            raise ConfigError(
+                f"semantic_segment: scene {scene.name or i} has label"
+                f" {int(labels[outside][0])} outside [0, {num_classes})"
+            )
         m_sx, m_xs = _walks(scene.features, params, proj, cfg, iterations)
         pooled.append(m_sx @ scene.features)
         cell_slot.append(np.argmax(m_xs, axis=1))
-        gt_all.append(np.asarray(labels))
+        gt_all.append(labels)
     pool = np.concatenate(pooled, axis=0)
     if pool.shape[0] < num_classes:
         raise ConfigError(

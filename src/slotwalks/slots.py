@@ -172,16 +172,14 @@ def _attend(keys, values, slots, params: SlotParams) -> SlotState:
     """One attention round given precomputed keys/values."""
     s_norm = ad.layer_norm_rows(slots, params.ln_s_gain, params.ln_s_bias)
     queries = ad.matmul(s_norm, params.w_q)
-    logits = ad.scale(
-        ad.matmul(keys, ad.transpose(queries)), 1.0 / math.sqrt(params.attn_dim)
-    )
-    attn = ad.softmax(logits, "rows", 1.0)
+    logits = ad.mul(ad.matmul(keys, ad.transpose(queries)), 1.0 / math.sqrt(params.attn_dim))
+    attn = ad.softmax_rows(logits, 1.0)
     n = _value(attn).shape[0]
     # the guard keeps an all-unattended slot from dividing by ~0 while the
     # normalization stays exactly column-stochastic
-    guarded = ad.add_scalar(attn, EPS_ATTN)
+    guarded = ad.add(attn, EPS_ATTN)
     col_sums = ad.matmul(ad.constant(np.ones((1, n))), guarded)
-    weights = ad.div_cols(guarded, col_sums)
+    weights = ad.div(guarded, col_sums)
     updates = ad.matmul(ad.transpose(weights), values)
     return SlotState(slots=slots, attn=attn, weights=weights, updates=updates)
 
@@ -204,17 +202,12 @@ def gru_update(slots, updates, params: SlotParams):
     h = tanh(u Wh + (r*s) Uh + bh), s' = (1-z)*s + z*h.
     """
     def gate(w, u, b, state):
-        return ad.add_row(ad.add(ad.matmul(updates, w), ad.matmul(state, u)), b)
+        return ad.add(ad.add(ad.matmul(updates, w), ad.matmul(state, u)), b)
 
     z = ad.sigmoid(gate(params.gru_wz, params.gru_uz, params.gru_bz, slots))
     r = ad.sigmoid(gate(params.gru_wr, params.gru_ur, params.gru_br, slots))
-    h = ad.tanh(
-        ad.add_row(
-            ad.add(ad.matmul(updates, params.gru_wh), ad.matmul(ad.mul(r, slots), params.gru_uh)),
-            params.gru_bh,
-        )
-    )
-    one_minus_z = ad.add_scalar(ad.scale(z, -1.0), 1.0)
+    h = ad.tanh(gate(params.gru_wh, params.gru_uh, params.gru_bh, ad.mul(r, slots)))
+    one_minus_z = ad.add(ad.mul(z, -1.0), 1.0)
     return ad.add(ad.mul(one_minus_z, slots), ad.mul(z, h))
 
 

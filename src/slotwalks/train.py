@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import Scene
+from .data import Scene, write_bytes_atomic
 from .errors import CompatibilityError, ConfigError, DataFormatError, TrainingDivergenceError
 from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, total_loss
@@ -202,6 +202,14 @@ def adamw_step(
         p -= lr * (update + weight_decay * p)
 
 
+def _init_model(cfg: TrainConfig) -> tuple[SlotParams, WalkProjection]:
+    """Freshly seeded parameters; their shapes are the ones a checkpoint of cfg holds."""
+    return (
+        SlotParams.create(cfg.num_slots, cfg.input_dim, cfg.slot_dim, cfg.attn_dim, seed=cfg.seed),
+        WalkProjection.create(cfg.input_dim, cfg.slot_dim, cfg.walk_dim, seed=cfg.seed + 1),
+    )
+
+
 def _named_parameters(params: SlotParams, proj: WalkProjection) -> dict[str, np.ndarray]:
     out = {f"slots.{k}": v for k, v in params.named().items()}
     out.update({f"proj.{k}": v for k, v in proj.named().items()})
@@ -238,7 +246,7 @@ def _batch_loss(
         )
         loss = total_loss(x, slots_hat, lifted_proj, walk)
         total = loss if total is None else ad.add(total, loss)
-    return ad.scale(total, 1.0 / len(indices))
+    return ad.mul(total, 1.0 / len(indices))
 
 
 def _open_trace(path: Path, start_step: int):
@@ -289,10 +297,7 @@ def train(
             )
         params, proj, opt, start_step = ckpt.params, ckpt.proj, ckpt.opt, ckpt.step
     else:
-        params = SlotParams.create(
-            cfg.num_slots, cfg.input_dim, cfg.slot_dim, cfg.attn_dim, seed=cfg.seed
-        )
-        proj = WalkProjection.create(cfg.input_dim, cfg.slot_dim, cfg.walk_dim, seed=cfg.seed + 1)
+        params, proj = _init_model(cfg)
         opt = OptimState.for_params(_named_parameters(params, proj))
         start_step = 0
 
@@ -415,7 +420,7 @@ def save_checkpoint(path, params: SlotParams, proj: WalkProjection, opt: OptimSt
     for prefix, table in (("m", opt.m), ("v", opt.v)):
         for name in named:
             out.append(_pack_blob(f"{prefix}.{name}", table[name]))
-    Path(path).write_bytes(b"".join(out))
+    write_bytes_atomic(path, b"".join(out))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -433,11 +438,28 @@ def load_checkpoint(path) -> Checkpoint:
     cfg = parse_config_text(cfg_text, source=f"{path} embedded config")
     if hashlib.sha256(cfg_text.encode()).digest() != stored_hash:
         raise CompatibilityError(f"{path}: config hash does not match embedded config")
+    shapes = {k: a.shape for k, a in _named_parameters(*_init_model(cfg)).items()}
     (n_params,) = r.unpack("<I")
+    if n_params != len(shapes):
+        raise DataFormatError(
+            f"{path}: {n_params} parameter blobs, the embedded config has {len(shapes)}"
+        )
+
+    def take(table: dict[str, np.ndarray], name: str, key: str, arr: np.ndarray) -> None:
+        # with n_params == len(shapes), distinct known keys cover every parameter
+        if key not in shapes or key in table:
+            raise DataFormatError(f"{path}: blob {name!r} is not a parameter or repeats one")
+        if arr.shape != shapes[key]:
+            raise DataFormatError(
+                f"{path}: blob {name!r} has shape {arr.shape},"
+                f" the embedded config gives {shapes[key]}"
+            )
+        table[key] = arr
+
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_params):
         name, arr = r.blob()
-        arrays[name] = arr
+        take(arrays, name, name, arr)
     opt_step, beta1, beta2, eps = r.unpack("<Qddd")
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
@@ -446,16 +468,13 @@ def load_checkpoint(path) -> Checkpoint:
             name, arr = r.blob()
             if not name.startswith(prefix + "."):
                 raise DataFormatError(f"{path}: optimizer blob {name!r} out of order")
-            table[name[len(prefix) + 1 :]] = arr
+            take(table, name, name[len(prefix) + 1 :], arr)
     if r.pos != len(raw):
         raise DataFormatError(f"{path}: {len(raw) - r.pos} trailing bytes")
 
     slot_fields = {k[len("slots.") :]: v for k, v in arrays.items() if k.startswith("slots.")}
     proj_fields = {k[len("proj.") :]: v for k, v in arrays.items() if k.startswith("proj.")}
-    try:
-        params = SlotParams(**slot_fields)
-        proj = WalkProjection(**proj_fields)
-    except TypeError as exc:
-        raise DataFormatError(f"{path}: parameter blobs do not form a model: {exc}") from None
+    params = SlotParams(**slot_fields)
+    proj = WalkProjection(**proj_fields)
     opt = OptimState(m=m, v=v, step=opt_step, beta1=beta1, beta2=beta2, eps=eps)
     return Checkpoint(params=params, proj=proj, opt=opt, step=step, config=cfg)

@@ -92,7 +92,7 @@ def adjacency(slots_p, feats_p, tau: float) -> tuple[ad.Node, ad.Node]:
     softmax_rows(S^T / tau)): slots -> features and features -> slots.
     """
     sims = ad.matmul(ad.l2_normalize_rows(slots_p), ad.transpose(ad.l2_normalize_rows(feats_p)))
-    return ad.softmax(sims, "rows", tau), ad.softmax(ad.transpose(sims), "rows", tau)
+    return ad.softmax_rows(sims, tau), ad.softmax_rows(ad.transpose(sims), tau)
 
 
 def wpw_loss(slots_p, feats_p, tau: float) -> ad.Node:
@@ -159,10 +159,10 @@ def total_loss(
     slots_p = ad.matmul(slots_hat, proj.p_s)
     terms: list[ad.Node] = []
     if cfg.alpha > 0.0:
-        terms.append(ad.scale(wpw_loss(slots_p, feats_p, cfg.tau), cfg.alpha))
+        terms.append(ad.mul(wpw_loss(slots_p, feats_p, cfg.tau), cfg.alpha))
     if cfg.beta > 0.0:
         terms.append(
-            ad.scale(
+            ad.mul(
                 pwp_loss(feats_p, slots_p, cfg.tau, cfg.gamma, target=pwp_frozen_target),
                 cfg.beta,
             )

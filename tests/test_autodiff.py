@@ -63,12 +63,12 @@ class TestMatmul:
 class TestSoftmax:
     def test_constant_row_uniform(self):
         for tau in (0.05, 1.0, 7.0):
-            out = ad.softmax(np.full((1, 5), 3.2), "rows", tau).value
+            out = ad.softmax_rows(np.full((1, 5), 3.2), tau).value
             assert np.allclose(out, 0.2, atol=1e-12)
 
     def test_two_entry_closed_form(self):
         a, c = 0.4, 1.3
-        out = ad.softmax(np.array([[a, a + c]]), "rows", 1.0).value
+        out = ad.softmax_rows(np.array([[a, a + c]]), 1.0).value
         expect = np.array([1.0, np.exp(c)]) / (1.0 + np.exp(c))
         assert np.allclose(out, expect, atol=1e-12)
 
@@ -78,37 +78,28 @@ class TestSoftmax:
         tau = 0.1
         e = np.exp(m / tau)  # no max subtraction; inputs small enough
         expect = e / e.sum(axis=1, keepdims=True)
-        assert np.allclose(ad.softmax(m, "rows", tau).value, expect, atol=1e-12)
+        assert np.allclose(ad.softmax_rows(m, tau).value, expect, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             m = rng.normal(size=(5, 7)) * 30
-            out = ad.softmax(m, "rows", 0.3).value
+            out = ad.softmax_rows(m, 0.3).value
             assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
-
-    def test_cols_axis(self):
-        m = np.random.default_rng(4).normal(size=(6, 3))
-        out = ad.softmax(m, "cols", 0.7).value
-        assert np.max(np.abs(out.sum(axis=0) - 1.0)) <= 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(4, 6))
-        base = ad.softmax(m, "rows", 0.5).value
-        shifted = ad.softmax(m + 17.0, "rows", 0.5).value
+        base = ad.softmax_rows(m, 0.5).value
+        shifted = ad.softmax_rows(m + 17.0, 0.5).value
         assert np.max(np.abs(base - shifted)) <= 1e-12
         assert np.array_equal(np.argmax(base, axis=1), np.argmax(shifted, axis=1))
 
     def test_bad_temperature(self):
         with pytest.raises(ConfigError):
-            ad.softmax(np.ones((2, 2)), "rows", 0.0)
+            ad.softmax_rows(np.ones((2, 2)), 0.0)
         with pytest.raises(ConfigError):
-            ad.softmax(np.ones((2, 2)), "rows", -1.0)
-
-    def test_bad_axis(self):
-        with pytest.raises(ConfigError):
-            ad.softmax(np.ones((2, 2)), "diag", 1.0)
+            ad.softmax_rows(np.ones((2, 2)), -1.0)
 
 
 class TestL2NormalizeRows:
@@ -196,16 +187,34 @@ class TestElementwiseOps:
     def test_add_row_broadcast(self):
         a = np.arange(6.0).reshape(2, 3)
         row = np.array([[10.0, 20.0, 30.0]])
-        assert np.array_equal(ad.add_row(a, row).value, a + row)
+        assert np.array_equal(ad.add(a, row).value, a + row)
 
     def test_div_cols(self):
         a = np.arange(1.0, 7.0).reshape(2, 3)
         denom = np.array([[1.0, 2.0, 4.0]])
-        assert np.allclose(ad.div_cols(a, denom).value, a / denom, atol=1e-15)
+        assert np.allclose(ad.div(a, denom).value, a / denom, atol=1e-15)
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(DegenerateInputError):
             ad.leaf(np.array([[1.0, np.inf]]))
+
+    def test_number_operand_is_a_constant(self):
+        a = ad.leaf(np.arange(6.0).reshape(2, 3))
+        out = ad.add(ad.mul(2.0, a), 1)
+        assert np.array_equal(out.value, 2.0 * a.value + 1.0)
+        assert out._parents[1].value.shape == (1, 1)
+        assert not out._parents[1].needs_grad
+
+    def test_non_finite_number_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            ad.mul(np.ones((2, 2)), float("nan"))
+
+    @pytest.mark.parametrize("op, name", [(ad.add, "add"), (ad.mul, "mul"), (ad.div, "div")])
+    def test_shapes_that_do_not_broadcast(self, op, name):
+        with pytest.raises(ShapeError, match=rf"{name}: shapes \(2, 3\) and \(1, 2\)"):
+            op(np.ones((2, 3)), np.ones((1, 2)))
+        with pytest.raises(ShapeError):
+            op(np.ones((2, 3)), np.ones((3, 2)))
 
 
 class TestBackward:
@@ -248,7 +257,7 @@ class TestFiniteDifferenceChecks:
 
         def make_loss(nodes):
             prod = ad.matmul(nodes["a"], nodes["b"])
-            return ad.sum_all(ad.mul(prod, ad.transpose(ad.scale(ad.transpose(prod), 0.7))))
+            return ad.sum_all(ad.mul(prod, ad.transpose(ad.mul(ad.transpose(prod), 0.7))))
 
         _fd_check(make_loss, params)
 
@@ -256,11 +265,11 @@ class TestFiniteDifferenceChecks:
         rng = np.random.default_rng(11)
         weight = rng.normal(size=(4, 5))
         params = {"m": rng.normal(size=(4, 5))}
-        for axis in ("rows", "cols"):
-            def make_loss(nodes, axis=axis):
-                return ad.sum_all(ad.mul(ad.softmax(nodes["m"], axis, 0.3), ad.constant(weight)))
 
-            _fd_check(make_loss, params)
+        def make_loss(nodes):
+            return ad.sum_all(ad.mul(ad.softmax_rows(nodes["m"], 0.3), ad.constant(weight)))
+
+        _fd_check(make_loss, params)
 
     def test_l2_normalize(self):
         rng = np.random.default_rng(12)
@@ -295,8 +304,8 @@ class TestFiniteDifferenceChecks:
         }
 
         def make_loss(nodes):
-            p = ad.softmax(nodes["logits"], "rows", 1.0)
-            q = ad.softmax(nodes["target_logits"], "rows", 1.0)
+            p = ad.softmax_rows(nodes["logits"], 1.0)
+            q = ad.softmax_rows(nodes["target_logits"], 1.0)
             return ad.cross_entropy_rows(p, q)
 
         _fd_check(make_loss, params)
@@ -310,8 +319,8 @@ class TestFiniteDifferenceChecks:
         }
 
         def make_loss(nodes):
-            z = ad.add_row(nodes["m"], nodes["row"])
-            out = ad.add(ad.sigmoid(z), ad.add(ad.tanh(z), ad.exp(ad.scale(z, 0.2))))
+            z = ad.add(nodes["m"], nodes["row"])
+            out = ad.add(ad.sigmoid(z), ad.add(ad.tanh(z), ad.exp(ad.mul(z, 0.2))))
             return ad.sum_all(ad.mul(out, ad.constant(weight)))
 
         _fd_check(make_loss, params)
@@ -325,6 +334,38 @@ class TestFiniteDifferenceChecks:
         }
 
         def make_loss(nodes):
-            return ad.sum_all(ad.mul(ad.div_cols(nodes["a"], nodes["denom"]), ad.constant(weight)))
+            return ad.sum_all(ad.mul(ad.div(nodes["a"], nodes["denom"]), ad.constant(weight)))
+
+        _fd_check(make_loss, params)
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul, ad.div])
+class TestBroadcastGradients:
+    """Finite-difference checks with a stretched operand on either side."""
+
+    @pytest.mark.parametrize("shape", [(1, 4), (1, 1)])
+    @pytest.mark.parametrize("small_first", [False, True])
+    def test_row_or_1x1_operand(self, op, shape, small_first):
+        rng = np.random.default_rng(17)
+        weight = rng.normal(size=(3, 4))
+        params = {
+            "m": rng.uniform(1.0, 2.0, size=(3, 4)),
+            "s": rng.uniform(1.0, 2.0, size=shape),
+        }
+
+        def make_loss(nodes):
+            args = (nodes["s"], nodes["m"]) if small_first else (nodes["m"], nodes["s"])
+            return ad.sum_all(ad.mul(op(*args), ad.constant(weight)))
+
+        _fd_check(make_loss, params)
+
+    def test_number_operand(self, op):
+        rng = np.random.default_rng(18)
+        weight = rng.normal(size=(3, 4))
+        params = {"m": rng.uniform(1.0, 2.0, size=(3, 4))}
+
+        def make_loss(nodes):
+            out = ad.add(op(nodes["m"], 1.7), op(-0.6, nodes["m"]))
+            return ad.sum_all(ad.mul(out, ad.constant(weight)))
 
         _fd_check(make_loss, params)

@@ -161,6 +161,14 @@ class TestFeatureFile:
         with pytest.raises(DataFormatError, match="length"):
             read_feature_file(path)
 
+    def test_non_finite_features_rejected_naming_the_file(self, tmp_path):
+        features = np.ones((4, 3))
+        features[2, 1] = np.nan
+        path = tmp_path / "nan.ocwf"
+        write_feature_file(path, Scene(features=features))
+        with pytest.raises(DataFormatError, match=r"nan\.ocwf: non-finite feature in cell 2"):
+            read_feature_file(path)
+
     def test_load_dataset_sorted(self, tmp_path):
         cfg = SceneConfig(height=2, width=2, classes=1, feature_dim=2)
         for name in ("0002.ocwf", "0000.ocwf", "0001.ocwf"):

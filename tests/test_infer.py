@@ -129,6 +129,14 @@ class TestSemanticSegment:
         with pytest.raises(ConfigError):
             semantic_segment([scene], params, proj, cfg, iterations=2, num_classes=5)
 
+    def test_label_outside_classes_rejected(self):
+        params, proj, cfg = toy_model(num_slots=2)
+        scene = generate_scene(SceneConfig(height=4, width=4, classes=3, feature_dim=8), seed=0)
+        scene.labels[5] = 7
+        scene.name = "0003.ocwf"
+        with pytest.raises(ConfigError, match=r"scene 0003\.ocwf has label 7 outside \[0, 3\)"):
+            semantic_segment([scene], params, proj, cfg, iterations=2, num_classes=3)
+
     def test_order_invariance(self):
         params, proj, cfg = toy_model(num_slots=3)
         scenes = [

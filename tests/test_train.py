@@ -1,12 +1,14 @@
 """Tests for the schedule, optimizer, training loop, checkpoints, and config text."""
 
 import dataclasses
+import io
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from slotwalks.data import SceneConfig, generate_scene
+from slotwalks.data import SceneConfig, generate_scene, write_feature_file
 from slotwalks.errors import CompatibilityError, ConfigError, DataFormatError, TrainingDivergenceError
 from slotwalks.train import (
     OptimState,
@@ -306,6 +308,83 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(CompatibilityError):
             load_checkpoint(path)
+
+
+    def test_parameter_shape_checked_against_config(self, tmp_path):
+        result = train(toy_scenes(), toy_config(num_slots=3, total_steps=1, warmup_steps=0))
+        path = tmp_path / "k3.ocwc"
+        cfg4 = toy_config(num_slots=4, total_steps=1, warmup_steps=0)
+        save_checkpoint(path, result.params, result.proj, result.opt, 1, cfg4)
+        with pytest.raises(DataFormatError, match=r"k3\.ocwc: blob 'slots\.mu' has shape \(3, 8\)"):
+            load_checkpoint(path)
+
+    def test_moment_name_must_be_a_parameter(self, tmp_path):
+        cfg = toy_config(total_steps=1, warmup_steps=0)
+        result = train(toy_scenes(), cfg)
+        path = tmp_path / "m.ocwc"
+        save_checkpoint(path, result.params, result.proj, result.opt, 1, cfg)
+        raw = path.read_bytes()
+        assert raw.count(b"m.slots.mu") == 1
+        path.write_bytes(raw.replace(b"m.slots.mu", b"m.slots.xx"))
+        with pytest.raises(DataFormatError, match=r"m\.ocwc: blob 'm\.slots\.xx' is not a parameter"):
+            load_checkpoint(path)
+
+    def test_moment_shape_must_match_parameter(self, tmp_path):
+        cfg = toy_config(total_steps=1, warmup_steps=0)
+        result = train(toy_scenes(), cfg)
+        result.opt.v["proj.p_x"] = np.zeros((1, 8))
+        path = tmp_path / "v.ocwc"
+        save_checkpoint(path, result.params, result.proj, result.opt, 1, cfg)
+        with pytest.raises(DataFormatError, match=r"v\.ocwc: blob 'v\.proj\.p_x' has shape \(1, 8\)"):
+            load_checkpoint(path)
+
+
+class _HalfWriteThenFail:
+    """A file opened for writing that keeps half of the first write, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(bytes(data)[: len(data) // 2])
+        self.f.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+@pytest.mark.parametrize("artifact", ["feature_file", "checkpoint"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
+    cfg = toy_config(total_steps=1, warmup_steps=0)
+    result = train(toy_scenes(), cfg)
+    scenes = toy_scenes(count=2)
+
+    def write(version):
+        if artifact == "feature_file":
+            write_feature_file(path, scenes[version])
+        else:
+            save_checkpoint(path, result.params, result.proj, result.opt, version, cfg)
+
+    path = tmp_path / "artifact"
+    write(0)
+    before = path.read_bytes()
+    real_open = io.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return _HalfWriteThenFail(f) if "w" in mode else f
+
+    monkeypatch.setattr(io, "open", failing_open)
+    monkeypatch.setattr("builtins.open", failing_open)
+    with pytest.raises(OSError, match="No space left"):
+        write(1)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["artifact"]
 
 
 class TestConfigText:
