@@ -24,17 +24,18 @@ x = np.vstack([
 m_sx, m_xs = adjacency(slots, x, tau=0.05)  # slots -> cells, cells -> slots
 print("slot 0 walk mass on its own cluster:", m_sx.value[0, :5].sum())
 print("cell 0 walk mass on slot 0:", m_xs.value[0, 0])
-print("wpw loss (should be ~0):", float(wpw_loss(slots, x, 0.05).value[0, 0]))
+print("wpw loss (should be ~0):", float(wpw_loss(m_sx, m_xs).value[0, 0]))
 
 print("\n== the parts-whole-parts target ==")
 target = pwp_target(x, gamma=0.7)
 print("row sums:", np.unique(np.round(target.sum(axis=1), 12)))
 print("mass a cluster-0 cell sends to cluster 0:", target[0, :5].sum())
-print("pwp loss with matching slots:", float(pwp_loss(x, slots, 0.05, 0.7).value[0, 0]))
+print("pwp loss with matching slots:", float(pwp_loss(m_sx, m_xs, target).value[0, 0]))
 
 print("\n== a slot that covers nothing is punished ==")
 bad_slots = np.vstack([slots[0], slots[0]])  # both slots on cluster 0
-print("wpw loss with duplicated slots:", float(wpw_loss(bad_slots, x, 0.05).value[0, 0]))
-print("pwp loss with duplicated slots:", float(pwp_loss(x, bad_slots, 0.05, 0.7).value[0, 0]))
+bad_sx, bad_xs = adjacency(bad_slots, x, tau=0.05)
+print("wpw loss with duplicated slots:", float(wpw_loss(bad_sx, bad_xs).value[0, 0]))
+print("pwp loss with duplicated slots:", float(pwp_loss(bad_sx, bad_xs, target).value[0, 0]))
 print("(both round trips break: duplicated slots cannot return home,")
 print(" and cluster-1 cells cannot walk back to themselves)")

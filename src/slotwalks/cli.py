@@ -125,7 +125,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg_path = Path(args.config)
-    cfg = parse_config_text(cfg_path.read_text(), source=str(cfg_path))
+    try:
+        text = cfg_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{cfg_path}: not UTF-8 text") from None
+    cfg = parse_config_text(text, source=str(cfg_path))
     scenes = load_dataset(args.data)
     result = train(scenes, cfg, out_dir=args.out, resume=args.resume)
     final = result.losses[-1] if result.losses else float("nan")

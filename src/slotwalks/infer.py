@@ -72,6 +72,7 @@ def foreground_select(
 
 def _evaluate(report: EvalReport, score, scenes, params, proj, cfg, iterations: int) -> EvalReport:
     """One row per scene from score(hard slot labels, ground-truth labels), then the mean."""
+    params, proj = params.lift(ad.constant), proj.lift(ad.constant)
     for i, scene in enumerate(_sorted_scenes(scenes)):
         labels = _require_labels(scene, f"evaluate {report.task}: scene {i}")
         _, hard = slot_masks(scene.features, params, proj, cfg, iterations)
@@ -135,6 +136,7 @@ def semantic_segment(
     if num_classes < 1:
         raise ConfigError(f"semantic_segment: num_classes must be >= 1, got {num_classes}")
     ordered = _sorted_scenes(scenes)
+    params, proj = params.lift(ad.constant), proj.lift(ad.constant)
     pooled: list[np.ndarray] = []
     cell_slot: list[np.ndarray] = []
     gt_all: list[np.ndarray] = []

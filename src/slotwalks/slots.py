@@ -6,8 +6,9 @@ slots (queries) are normalized first across slots at every location, so
 slots compete for each location, and then across locations per slot, so
 each slot pools a weighted mean of the value vectors it won.
 
-Parameters may be held as numpy arrays (inference) or lifted to autodiff
-leaves (training); every function here works with either.
+Parameters may be held as numpy arrays or lifted to autodiff nodes
+(leaves in training, constants in inference); every function here works
+with either.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -129,11 +130,9 @@ class SlotParams:
         """Field name -> value, in declaration order."""
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
-    def lift(self) -> "SlotParams":
-        """Copy with every field wrapped as a trainable autodiff leaf."""
-        return dataclasses.replace(
-            self, **{k: ad.leaf(v) for k, v in self.named().items()}
-        )
+    def lift(self, make: Callable[[Any], ad.Node]) -> "SlotParams":
+        """Copy with every field wrapped by `make`: `ad.leaf` to train, `ad.constant` to evaluate."""
+        return dataclasses.replace(self, **{k: make(v) for k, v in self.named().items()})
 
 
 @dataclass

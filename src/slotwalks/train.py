@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import struct
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -56,6 +58,17 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            # gamma = -inf means "no threshold"; WalkConfig checks gamma's range
+            if isinstance(v, float) and not math.isfinite(v) and f.name != "gamma":
+                raise ConfigError(f"TrainConfig: {f.name} must be finite, got {v}")
+            if isinstance(v, int) and v < 0:
+                raise ConfigError(f"TrainConfig: {f.name} must be >= 0, got {v}")
+        for name in ("num_slots", "input_dim", "slot_dim", "total_steps", "batch_size",
+                     "decay_half_life_steps"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"TrainConfig: {name} must be >= 1, got {getattr(self, name)}")
         if self.attn_dim == 0:
             object.__setattr__(self, "attn_dim", self.slot_dim)
         if self.warmup_steps > self.total_steps:
@@ -63,18 +76,10 @@ class TrainConfig:
                 f"TrainConfig: warmup_steps {self.warmup_steps} exceeds"
                 f" total_steps {self.total_steps}"
             )
-        if self.warmup_steps < 0 or self.total_steps < 1:
-            raise ConfigError("TrainConfig: step counts must be non-negative / positive")
         if self.clip_norm <= 0.0:
             raise ConfigError(f"TrainConfig: clip_norm must be positive, got {self.clip_norm}")
-        if self.batch_size < 1:
-            raise ConfigError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
         if self.base_lr < 0.0 or self.weight_decay < 0.0:
             raise ConfigError("TrainConfig: base_lr and weight_decay must be >= 0")
-        if self.decay_half_life_steps < 1:
-            raise ConfigError("TrainConfig: decay_half_life_steps must be >= 1")
-        if self.checkpoint_interval < 0:
-            raise ConfigError("TrainConfig: checkpoint_interval must be >= 0")
         self.walk()  # validates tau / gamma / alpha / beta / walk_dim
 
     def walk(self) -> WalkConfig:
@@ -83,14 +88,8 @@ class TrainConfig:
         )
 
 
-_INT_KEYS = {
-    "num_slots", "input_dim", "slot_dim", "attn_dim", "iterations", "walk_dim",
-    "warmup_steps", "total_steps", "decay_half_life_steps", "batch_size", "seed",
-    "checkpoint_interval",
-}
-_FLOAT_KEYS = {
-    "tau", "gamma", "alpha", "beta", "base_lr", "clip_norm", "weight_decay",
-}
+# key -> int or float, the type its config line is parsed as
+_KEY_TYPES = typing.get_type_hints(TrainConfig)
 
 
 def format_config(cfg: TrainConfig) -> str:
@@ -103,8 +102,12 @@ def format_config(cfg: TrainConfig) -> str:
 
 
 def parse_config_text(text: str, source: str = "config") -> TrainConfig:
-    """Parse `key = value` lines; `#` starts a comment, unknown keys are errors."""
+    """Parse `key = value` lines; `#` starts a comment, unknown or repeated keys are errors.
+
+    Every error names `source`, including a value out of its legal range.
+    """
     values: dict[str, object] = {}
+    given_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,22 +115,24 @@ def parse_config_text(text: str, source: str = "config") -> TrainConfig:
         if "=" not in line:
             raise DataFormatError(f"{source} line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = (part.strip() for part in line.partition("="))
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise DataFormatError(f"{source} line {lineno}: {key} expects an integer, got {val!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise DataFormatError(f"{source} line {lineno}: {key} expects a number, got {val!r}") from None
-        else:
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
             raise DataFormatError(f"{source} line {lineno}: unknown key {key!r}")
+        if key in given_on:
+            raise DataFormatError(f"{source} line {lineno}: {key} repeats line {given_on[key]}")
+        try:
+            values[key] = kind(val)
+        except ValueError:
+            expects = "an integer" if kind is int else "a number"
+            raise DataFormatError(f"{source} line {lineno}: {key} expects {expects}, got {val!r}") from None
+        given_on[key] = lineno
     for required in ("num_slots", "input_dim"):
         if required not in values:
             raise DataFormatError(f"{source}: missing required key {required!r}")
-    return TrainConfig(**values)  # type: ignore[arg-type]
+    try:
+        return TrainConfig(**values)  # type: ignore[arg-type]
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def config_hash(cfg: TrainConfig) -> bytes:
@@ -314,8 +319,8 @@ def train(
             replace = cfg.batch_size > len(scenes)
             indices = rng.choice(len(scenes), size=cfg.batch_size, replace=replace)
 
-            lifted_params = params.lift()
-            lifted_proj = proj.lift()
+            lifted_params = params.lift(ad.leaf)
+            lifted_proj = proj.lift(ad.leaf)
             loss = _batch_loss(scenes, indices, lifted_params, lifted_proj, cfg, step)
             loss_value = float(loss.value[0, 0])
             if not np.isfinite(loss_value):
@@ -377,6 +382,13 @@ def _pack_blob(name: str, arr: np.ndarray) -> bytes:
     )
 
 
+def _decode(data: bytes, source: str, what: str) -> str:
+    try:
+        return data.decode()
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{source}: {what} is not valid UTF-8") from None
+
+
 class _Reader:
     def __init__(self, raw: bytes, source: str):
         self.raw = raw
@@ -395,9 +407,11 @@ class _Reader:
 
     def blob(self) -> tuple[str, np.ndarray]:
         (nlen,) = self.unpack("<I")
-        name = self.take(nlen).decode()
+        name = _decode(self.take(nlen), self.source, "a blob name")
         rows, cols = self.unpack("<II")
         data = np.frombuffer(self.take(8 * rows * cols), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise DataFormatError(f"{self.source}: blob {name!r} has a non-finite entry")
         return name, data.reshape(rows, cols).copy()
 
 
@@ -434,10 +448,11 @@ def load_checkpoint(path) -> Checkpoint:
     stored_hash = r.take(32)
     (step,) = r.unpack("<Q")
     (cfg_len,) = r.unpack("<I")
-    cfg_text = r.take(cfg_len).decode()
-    cfg = parse_config_text(cfg_text, source=f"{path} embedded config")
-    if hashlib.sha256(cfg_text.encode()).digest() != stored_hash:
+    cfg_bytes = r.take(cfg_len)
+    if hashlib.sha256(cfg_bytes).digest() != stored_hash:
         raise CompatibilityError(f"{path}: config hash does not match embedded config")
+    cfg_text = _decode(cfg_bytes, str(path), "the embedded config")
+    cfg = parse_config_text(cfg_text, source=f"{path} embedded config")
     shapes = {k: a.shape for k, a in _named_parameters(*_init_model(cfg)).items()}
     (n_params,) = r.unpack("<I")
     if n_params != len(shapes):
@@ -461,6 +476,10 @@ def load_checkpoint(path) -> Checkpoint:
         name, arr = r.blob()
         take(arrays, name, name, arr)
     opt_step, beta1, beta2, eps = r.unpack("<Qddd")
+    if not all(map(math.isfinite, (beta1, beta2, eps))):
+        raise DataFormatError(
+            f"{path}: non-finite optimizer scalar (beta1={beta1}, beta2={beta2}, eps={eps})"
+        )
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
     for table, prefix in ((m, "m"), (v, "v")):

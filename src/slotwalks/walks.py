@@ -21,7 +21,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -80,8 +80,9 @@ class WalkProjection:
     def named(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
-    def lift(self) -> "WalkProjection":
-        return dataclasses.replace(self, **{k: ad.leaf(v) for k, v in self.named().items()})
+    def lift(self, make: Callable[[Any], ad.Node]) -> "WalkProjection":
+        """Copy with every field wrapped by `make`: `ad.leaf` to train, `ad.constant` to evaluate."""
+        return dataclasses.replace(self, **{k: make(v) for k, v in self.named().items()})
 
 
 def adjacency(slots_p, feats_p, tau: float) -> tuple[ad.Node, ad.Node]:
@@ -95,9 +96,8 @@ def adjacency(slots_p, feats_p, tau: float) -> tuple[ad.Node, ad.Node]:
     return ad.softmax_rows(sims, tau), ad.softmax_rows(ad.transpose(sims), tau)
 
 
-def wpw_loss(slots_p, feats_p, tau: float) -> ad.Node:
-    """Cross entropy of the whole->parts->whole round trip against the identity."""
-    m_sx, m_xs = adjacency(slots_p, feats_p, tau)
+def wpw_loss(m_sx, m_xs) -> ad.Node:
+    """Cross entropy of the whole->parts->whole round trip m_sx m_xs against the identity."""
     round_trip = ad.matmul(m_sx, m_xs)
     k = round_trip.value.shape[0]
     return ad.cross_entropy_rows(round_trip, ad.constant(np.eye(k)))
@@ -126,21 +126,15 @@ def pwp_target(feats_p, gamma: float) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def pwp_loss(
-    feats_p, slots_p, tau: float, gamma: float, target: np.ndarray | None = None
-) -> ad.Node:
-    """Cross entropy of the parts->whole->parts round trip against the target.
+def pwp_loss(m_sx, m_xs, target: np.ndarray) -> ad.Node:
+    """Cross entropy of the parts->whole->parts round trip m_xs m_sx against the target.
 
-    The target carries no gradient. By default it is recomputed from the
-    current feats_p (training semantics: the supervisory signal tracks the
-    projection as it moves, step by step); passing `target` freezes it,
-    which is what finite-difference verification of a single step needs.
+    The target carries no gradient. In training `total_loss` recomputes it
+    from the current feats_p (the supervisory signal tracks the projection
+    as it moves, step by step); finite-difference verification of a single
+    step holds it fixed instead.
     """
-    if target is None:
-        target = pwp_target(feats_p, gamma)
-    m_sx, m_xs = adjacency(slots_p, feats_p, tau)
-    round_trip = ad.matmul(m_xs, m_sx)
-    return ad.cross_entropy_rows(round_trip, ad.constant(target))
+    return ad.cross_entropy_rows(ad.matmul(m_xs, m_sx), ad.constant(target))
 
 
 def total_loss(
@@ -152,19 +146,18 @@ def total_loss(
 ) -> ad.Node:
     """Weighted sum alpha * wpw + beta * pwp on projected inputs.
 
-    A term whose coefficient is 0 is never evaluated, which is what the
-    single-direction ablations rely on.
+    Both round trips read the same two walk matrices, built once. A term
+    whose coefficient is 0 is never evaluated, which is what the
+    single-direction ablations rely on. The pwp target is computed from
+    the projected features unless `pwp_frozen_target` is given.
     """
     feats_p = ad.matmul(x, proj.p_x)
     slots_p = ad.matmul(slots_hat, proj.p_s)
+    m_sx, m_xs = adjacency(slots_p, feats_p, cfg.tau)
     terms: list[ad.Node] = []
     if cfg.alpha > 0.0:
-        terms.append(ad.mul(wpw_loss(slots_p, feats_p, cfg.tau), cfg.alpha))
+        terms.append(ad.mul(wpw_loss(m_sx, m_xs), cfg.alpha))
     if cfg.beta > 0.0:
-        terms.append(
-            ad.mul(
-                pwp_loss(feats_p, slots_p, cfg.tau, cfg.gamma, target=pwp_frozen_target),
-                cfg.beta,
-            )
-        )
+        target = pwp_target(feats_p, cfg.gamma) if pwp_frozen_target is None else pwp_frozen_target
+        terms.append(ad.mul(pwp_loss(m_sx, m_xs, target), cfg.beta))
     return functools.reduce(ad.add, terms)

@@ -146,12 +146,12 @@ def test_criterion_3_loss_floor():
     for _ in range(20):
         feats = rng.normal(size=(int(rng.integers(2, 12)), 5))
         single = rng.normal(size=(1, 5))
-        assert wpw_loss(single, feats, 0.1).value[0, 0] == 0.0
+        assert wpw_loss(*adjacency(single, feats, 0.1)).value[0, 0] == 0.0
 
     slots = np.eye(2, 6)
     x = np.vstack([np.tile(slots[0], (5, 1)), np.tile(slots[1], (5, 1))])
     x = x + rng.normal(scale=0.01, size=(10, 6))
-    cluster_loss = float(wpw_loss(slots, x, 0.05).value[0, 0])
+    cluster_loss = float(wpw_loss(*adjacency(slots, x, 0.05)).value[0, 0])
     assert cluster_loss <= 1e-3
     print(f"\nPASS criterion 3: K=1 loss exactly 0 on 20 instances; "
           f"orthogonal clusters at tau 0.05 score {cluster_loss:.2e}")

@@ -125,6 +125,25 @@ class TestTrain:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad", ["alpha = nan", "alpha = nan\nbeta = nan", "clip_norm = nan", "attn_dim = -5"]
+    )
+    def test_bad_value_rejected_naming_the_config_file(self, tmp_path, capsys, bad):
+        data = gen_data(tmp_path, capsys)
+        cfg = write_config(tmp_path, TOY_CONFIG + bad + "\n", "bad_value.cfg")
+        rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bad_value.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        data = gen_data(tmp_path, capsys)
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(TOY_CONFIG.encode() + b"# \xff\n")
+        rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "binary.cfg: not UTF-8 text" in capsys.readouterr().err
+
     def test_resume_continues_trace(self, tmp_path, capsys):
         data = gen_data(tmp_path, capsys)
         cfg = write_config(tmp_path, TOY_CONFIG + "checkpoint_interval = 20\n", "resume.cfg")

@@ -1,8 +1,10 @@
 """Tests for the schedule, optimizer, training loop, checkpoints, and config text."""
 
 import dataclasses
+import hashlib
 import io
 import os
+import re
 import struct
 
 import numpy as np
@@ -339,6 +341,60 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
 
+    def test_config_hash_checked_before_parsing(self, tmp_path):
+        path = _saved_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"alpha = 1.0", b"alpha = x.0"))
+        with pytest.raises(CompatibilityError, match="config hash"):
+            load_checkpoint(path)
+
+    def test_config_text_not_utf8_rejected_naming_the_file(self, tmp_path):
+        path = _saved_checkpoint(tmp_path)
+        raw = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", raw, 48)
+        raw[52] = 0xFF
+        raw[8:40] = hashlib.sha256(raw[52 : 52 + cfg_len]).digest()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match=r"c\.ocwc: the embedded config is not valid UTF-8"):
+            load_checkpoint(path)
+
+    def test_blob_name_not_utf8_rejected_naming_the_file(self, tmp_path):
+        path = _saved_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"slots.w_q", b"slots.w_\xff", 1))
+        with pytest.raises(DataFormatError, match=r"c\.ocwc: a blob name is not valid UTF-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "blob, array",
+        [
+            ("slots.w_q", lambda result: result.params.w_q),
+            ("m.proj.p_s", lambda result: result.opt.m["proj.p_s"]),
+            ("v.slots.mu", lambda result: result.opt.v["slots.mu"]),
+        ],
+        ids=["parameter", "first_moment", "second_moment"],
+    )
+    def test_non_finite_array_rejected_naming_the_blob(self, tmp_path, blob, array):
+        path = _saved_checkpoint(tmp_path, lambda result: array(result).__setitem__((0, -1), np.nan))
+        with pytest.raises(DataFormatError, match=rf"c\.ocwc: blob '{re.escape(blob)}' has a non-finite entry"):
+            load_checkpoint(path)
+
+    def test_non_finite_optimizer_scalar_rejected(self, tmp_path):
+        path = _saved_checkpoint(tmp_path, lambda result: setattr(result.opt, "eps", np.inf))
+        with pytest.raises(DataFormatError, match=r"c\.ocwc: non-finite optimizer scalar"):
+            load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path, change=lambda result: None):
+    """A one-step checkpoint at tmp_path/c.ocwc; change(train result) edits it before the save."""
+    cfg = toy_config(total_steps=1, warmup_steps=0)
+    result = train(toy_scenes(), cfg)
+    change(result)
+    path = tmp_path / "c.ocwc"
+    save_checkpoint(path, result.params, result.proj, result.opt, 1, cfg)
+    return path
+
+
 class _HalfWriteThenFail:
     """A file opened for writing that keeps half of the first write, then fails."""
 
@@ -417,6 +473,17 @@ class TestConfigText:
     def test_missing_required_key(self):
         with pytest.raises(DataFormatError, match="num_slots"):
             parse_config_text("input_dim = 8\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(DataFormatError, match="cfg line 4: tau repeats line 3"):
+            parse_config_text("num_slots = 3\ninput_dim = 8\ntau = 0.1\ntau = 0.5\n", source="cfg")
+
+    @pytest.mark.parametrize(
+        "line", ["tau = inf", "base_lr = nan", "seed = -1", "slot_dim = -2", "slot_dim = 0"]
+    )
+    def test_out_of_range_value_names_the_source(self, line):
+        with pytest.raises(ConfigError, match=r"^cfg: TrainConfig: \w+ must be"):
+            parse_config_text(f"num_slots = 3\ninput_dim = 8\n{line}\n", source="cfg")
 
     def test_warmup_exceeding_total_rejected(self):
         with pytest.raises(ConfigError):

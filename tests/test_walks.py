@@ -111,14 +111,14 @@ class TestWpwLoss:
         for i in range(10):
             x = rng.normal(size=(6, 4))
             s = rng.normal(size=(1, 4))
-            assert wpw_loss(s, x, 0.1).value[0, 0] == 0.0
+            assert wpw_loss(*adjacency(s, x, 0.1)).value[0, 0] == 0.0
 
     def test_orthogonal_clusters_near_zero(self):
         rng = np.random.default_rng(4)
         slots = np.eye(2, 6)
         noise = rng.normal(scale=0.01, size=(10, 6))
         x = np.vstack([np.tile(slots[0], (5, 1)), np.tile(slots[1], (5, 1))]) + noise
-        loss = wpw_loss(slots, x, 0.05).value[0, 0]
+        loss = wpw_loss(*adjacency(slots, x, 0.05)).value[0, 0]
         assert loss <= 1e-3
         # direct evaluation of the two-hop product
         m = adjacency_oracle(slots, x, 0.05) @ adjacency_oracle(x, slots, 0.05)
@@ -128,7 +128,7 @@ class TestWpwLoss:
     def test_matches_diagonal_log_oracle(self):
         rng = np.random.default_rng(5)
         s, x = rng.normal(size=(3, 4)), rng.normal(size=(9, 4))
-        loss = wpw_loss(s, x, 0.1).value[0, 0]
+        loss = wpw_loss(*adjacency(s, x, 0.1)).value[0, 0]
         m = adjacency_oracle(s, x, 0.1) @ adjacency_oracle(x, s, 0.1)
         expect = -np.log(np.maximum(np.diag(m), 1e-12)).sum() / 3
         assert abs(loss - expect) <= 1e-9
@@ -138,7 +138,7 @@ class TestWpwLoss:
         for _ in range(25):
             s = rng.normal(size=(rng.integers(1, 5), 4))
             x = rng.normal(size=(rng.integers(5, 12), 4))
-            assert wpw_loss(s, x, 0.2).value[0, 0] >= 0.0
+            assert wpw_loss(*adjacency(s, x, 0.2)).value[0, 0] >= 0.0
 
     def test_round_trip_rows_stochastic(self):
         rng = np.random.default_rng(7)
@@ -180,13 +180,13 @@ class TestPwpTarget:
 class TestPwpLoss:
     def test_slots_equal_features_near_zero(self):
         x = np.eye(4, 4)
-        loss = pwp_loss(x, x, 0.05, 0.7).value[0, 0]
+        loss = pwp_loss(*adjacency(x, x, 0.05), pwp_target(x, 0.7)).value[0, 0]
         assert loss <= 1e-2
 
     def test_matches_product_then_ce_oracle(self):
         rng = np.random.default_rng(10)
         x, s = rng.normal(size=(7, 4)), rng.normal(size=(3, 4))
-        loss = pwp_loss(x, s, 0.1, 0.3).value[0, 0]
+        loss = pwp_loss(*adjacency(s, x, 0.1), pwp_target(x, 0.3)).value[0, 0]
         m = adjacency_oracle(x, s, 0.1) @ adjacency_oracle(s, x, 0.1)
         target = pwp_target_oracle(x, 0.3)
         expect = -(target * np.log(np.clip(m, 1e-12, 1.0))).sum() / 7
@@ -196,7 +196,7 @@ class TestPwpLoss:
         rng = np.random.default_rng(11)
         x, s = rng.normal(size=(5, 4)), rng.normal(size=(2, 4))
         frozen = np.full((5, 5), 0.2)
-        loss = pwp_loss(x, s, 0.1, 0.7, target=frozen).value[0, 0]
+        loss = pwp_loss(*adjacency(s, x, 0.1), frozen).value[0, 0]
         m = adjacency_oracle(x, s, 0.1) @ adjacency_oracle(s, x, 0.1)
         expect = -(frozen * np.log(np.clip(m, 1e-12, 1.0))).sum() / 5
         assert abs(loss - expect) <= 1e-9
@@ -217,20 +217,20 @@ class TestTotalLoss:
     def test_alpha_only_equals_wpw(self):
         cfg = WalkConfig(alpha=1.0, beta=0.0, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
-        expect = wpw_loss(slots_p, feats_p, 0.1).value[0, 0]
+        expect = wpw_loss(*adjacency(slots_p, feats_p, 0.1)).value[0, 0]
         assert total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0] == expect
 
     def test_beta_only_equals_pwp(self):
         cfg = WalkConfig(alpha=0.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
-        expect = pwp_loss(feats_p, slots_p, 0.1, 0.7).value[0, 0]
+        expect = pwp_loss(*adjacency(slots_p, feats_p, 0.1), pwp_target(feats_p, 0.7)).value[0, 0]
         assert total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0] == expect
 
     def test_both_terms_sum(self):
         cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
-        wpw = wpw_loss(slots_p, feats_p, 0.1).value[0, 0]
-        pwp = pwp_loss(feats_p, slots_p, 0.1, 0.7).value[0, 0]
+        wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)).value[0, 0]
+        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1), pwp_target(feats_p, 0.7)).value[0, 0]
         total = total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0]
         assert abs(total - (wpw + pwp)) <= 1e-12
 
@@ -242,7 +242,7 @@ class TestTotalLoss:
         cfg = WalkConfig(alpha=1.0, beta=0.0, tau=0.1, gamma=0.7, dim=4)
         total_loss(self.x, self.s_hat, self.proj, cfg)
 
-    def test_total_loss_calls_kernel_twice(self, monkeypatch):
+    def test_total_loss_calls_kernel_once(self, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -252,13 +252,13 @@ class TestTotalLoss:
         monkeypatch.setattr(walks, "adjacency", counted)
         cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
         total_loss(self.x, self.s_hat, self.proj, cfg)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_coefficients_scale_terms(self):
         cfg = WalkConfig(alpha=2.0, beta=0.5, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
-        wpw = wpw_loss(slots_p, feats_p, 0.1).value[0, 0]
-        pwp = pwp_loss(feats_p, slots_p, 0.1, 0.7).value[0, 0]
+        wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)).value[0, 0]
+        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1), pwp_target(feats_p, 0.7)).value[0, 0]
         total = total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0]
         assert abs(total - (2.0 * wpw + 0.5 * pwp)) <= 1e-12
 
