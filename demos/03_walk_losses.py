@@ -21,7 +21,7 @@ x = np.vstack([
     np.tile(slots[1], (5, 1)),
 ]) + rng.normal(scale=0.01, size=(10, 6))
 
-m_sx, m_xs = adjacency(slots, x, tau=0.05)  # slots -> cells, cells -> slots
+m_sx, m_xs, _ = adjacency(slots, x, tau=0.05)  # slots -> cells, cells -> slots
 print("slot 0 walk mass on its own cluster:", m_sx.value[0, :5].sum())
 print("cell 0 walk mass on slot 0:", m_xs.value[0, 0])
 print("wpw loss (should be ~0):", float(wpw_loss(m_sx, m_xs).value[0, 0]))
@@ -34,7 +34,7 @@ print("pwp loss with matching slots:", float(pwp_loss(m_sx, m_xs, target).value[
 
 print("\n== a slot that covers nothing is punished ==")
 bad_slots = np.vstack([slots[0], slots[0]])  # both slots on cluster 0
-bad_sx, bad_xs = adjacency(bad_slots, x, tau=0.05)
+bad_sx, bad_xs, _ = adjacency(bad_slots, x, tau=0.05)
 print("wpw loss with duplicated slots:", float(wpw_loss(bad_sx, bad_xs).value[0, 0]))
 print("pwp loss with duplicated slots:", float(pwp_loss(bad_sx, bad_xs, target).value[0, 0]))
 print("(both round trips break: duplicated slots cannot return home,")

@@ -1,15 +1,20 @@
 """Dense-matrix numerics with reverse-mode differentiation.
 
-Values are plain 2-D float64 numpy arrays. Differentiable computations
-build a graph of `Node` objects; `backward` fills in the gradient of a
-scalar loss with respect to every leaf created by `leaf`. Graphs are
-rebuilt from scratch for every loss evaluation and walked exactly once,
-which keeps replay deterministic.
+Values are float64 numpy arrays of at least two dimensions: an n x m
+matrix, or a stack of them (... x n x m) whose leading axes are batch
+axes; a 2-D value is the no-batch case of the same ops. Differentiable
+computations build a graph of `Node` objects; `backward` fills in the
+gradient of a scalar loss with respect to every leaf created by `leaf`.
+Graphs are rebuilt from scratch for every loss evaluation and walked
+exactly once, which keeps replay deterministic.
 
 Every op accepts either a `Node` or anything `as_matrix` understands;
 raw arrays and numbers are lifted to constants that do not receive
-gradients. `add`, `mul` and `div` broadcast like numpy, so a 1 x n row
-or a number (a 1 x 1 constant) stretches to the other operand's shape.
+gradients. `add`, `mul`, `div` and the batch axes of `matmul` broadcast
+like numpy, so a 1 x n row, a number (a 1 x 1 constant) or a 2-D
+parameter stretches to the other operand's shape, and its gradient is
+summed back to its own shape. `transpose` swaps the last two axes and the
+row ops act on the last axis.
 """
 
 from __future__ import annotations
@@ -33,13 +38,11 @@ _NORM_FLOOR = 1e-12
 
 
 def as_matrix(data, name: str = "matrix") -> Array:
-    """Coerce to a finite, non-empty 2-D float64 matrix (a number is 1 x 1, a vector one row)."""
+    """Coerce to a finite, non-empty float64 array of at least 2-D (a number is 1 x 1, a vector one row)."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim < 2:
         arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name}: expected 2-D data, got {arr.ndim}-D")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if min(arr.shape) < 1:
         raise ShapeError(f"{name}: degenerate shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DegenerateInputError(f"{name}: contains non-finite entries")
@@ -51,10 +54,12 @@ class Node:
 
     `value` holds the forward result; `grad` holds d(loss)/d(value) once
     `backward` has reached the node (a fresh leaf holds zeros, an op None).
-    `_vjps[i]` maps the output gradient to the i-th parent's gradient.
+    `_vjps[i]` maps the output gradient to the i-th parent's gradient. A
+    node that needs no gradient keeps neither, so the arrays its vjps
+    hold are freed as soon as nothing else reads them.
     """
 
-    __slots__ = ("value", "grad", "needs_grad", "_parents", "_vjps")
+    __slots__ = ("value", "grad", "needs_grad", "_parents", "_vjps", "__weakref__")
 
     def __init__(
         self,
@@ -65,14 +70,14 @@ class Node:
     ):
         self.value = value
         self.grad: Array | None = None
-        self._parents = parents
-        self._vjps = vjps
         if needs_grad is None:
             needs_grad = any(p.needs_grad for p in parents)
         self.needs_grad = needs_grad
+        self._parents = parents if needs_grad else ()
+        self._vjps = vjps if needs_grad else ()
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def __repr__(self) -> str:
@@ -102,25 +107,28 @@ def _as_node(x, name: str = "operand") -> Node:
     return Node(as_matrix(x, name), needs_grad=False)
 
 
-def _same_shape(a: Node, b: Node, op: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
+def _swap(v: Array) -> Array:
+    return np.swapaxes(v, -1, -2)
 
 
 def matmul(a, b) -> Node:
-    """Matrix product, differentiable w.r.t. both factors."""
+    """Matrix product over the last two axes; batch axes broadcast as in numpy's `@`."""
     a, b = _as_node(a, "matmul lhs"), _as_node(b, "matmul rhs")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions {a.value.shape} x {b.value.shape} do not agree"
-        )
     av, bv = a.value, b.value
-    return Node(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
+    if av.shape[-1] != bv.shape[-2]:
+        raise ShapeError(f"matmul: inner dimensions {av.shape} x {bv.shape} do not agree")
+    out = _broadcast("matmul", np.matmul, av, bv)
+    return Node(
+        out,
+        (a, b),
+        (lambda g: _sum_to(g @ _swap(bv), av.shape), lambda g: _sum_to(_swap(av) @ g, bv.shape)),
+    )
 
 
 def transpose(a) -> Node:
+    """Swap the last two axes."""
     a = _as_node(a)
-    return Node(np.ascontiguousarray(a.value.T), (a,), (lambda g: g.T,))
+    return Node(np.ascontiguousarray(_swap(a.value)), (a,), (_swap,))
 
 
 def _broadcast(op: str, ufunc, a: Array, b: Array) -> Array:
@@ -130,19 +138,22 @@ def _broadcast(op: str, ufunc, a: Array, b: Array) -> Array:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
-def _sum_to(g: Array, shape: tuple[int, int]) -> Array:
-    """Sum g over the axes along which an operand of `shape` was stretched."""
+def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
+    """Sum g over the axes along which an operand of `shape` was stretched or added."""
     if g.shape == shape:
         return g
-    axes = tuple(i for i in (0, 1) if shape[i] != g.shape[i])
-    return g.sum(axis=axes, keepdims=True)
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    axes = tuple(i for i, n in enumerate(shape) if n != g.shape[i])
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
 def _identity(g: Array) -> Array:
     return g
 
 
-def _add_vjp(shape: tuple[int, int], out_shape: tuple[int, int]) -> Callable[[Array], Array]:
+def _add_vjp(shape: tuple[int, ...], out_shape: tuple[int, ...]) -> Callable[[Array], Array]:
     # an operand that was not stretched shares one function instead of a new
     # closure: thousands of closures per step make the garbage collector run
     # measurably more often
@@ -203,7 +214,7 @@ def tanh(a) -> Node:
 
 
 def sum_all(a) -> Node:
-    """Sum every entry into a 1 x 1 matrix."""
+    """Sum every entry, over every axis, into a 1 x 1 matrix."""
     a = _as_node(a)
     av = a.value
     out = np.array([[av.sum()]])
@@ -211,7 +222,7 @@ def sum_all(a) -> Node:
 
 
 def softmax_rows(m, tau: float) -> Node:
-    """Temperature softmax; each row becomes a distribution.
+    """Temperature softmax over the last axis; each row becomes a distribution.
 
     The max of each row is subtracted before exponentiation, which leaves
     the result unchanged but keeps exp() in range.
@@ -221,30 +232,31 @@ def softmax_rows(m, tau: float) -> Node:
         raise ConfigError(f"softmax_rows: temperature must be positive, got {tau}")
     m = _as_node(m)
     z = m.value
-    shifted = (z - z.max(axis=1, keepdims=True)) / tau
+    shifted = (z - z.max(axis=-1, keepdims=True)) / tau
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g: Array) -> Array:
-        inner = (g * p).sum(axis=1, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         return p * (g - inner) / tau
 
     return Node(p, (m,), (vjp,))
 
 
 def l2_normalize_rows(m) -> Node:
-    """Scale each row to unit Euclidean norm."""
+    """Scale each row (the last axis) to unit Euclidean norm."""
     m = _as_node(m)
     v = m.value
-    norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
-    small = norms[:, 0] <= _NORM_FLOOR
+    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    small = norms[..., 0] <= _NORM_FLOOR
     if small.any():
-        idx = int(np.argmax(small))
-        raise DegenerateInputError(f"l2_normalize_rows: row {idx} has near-zero norm")
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(small), small.shape))
+        where = idx[0] if len(idx) == 1 else idx
+        raise DegenerateInputError(f"l2_normalize_rows: row {where} has near-zero norm")
     y = v / norms
 
     def vjp(g: Array) -> Array:
-        dots = (g * y).sum(axis=1, keepdims=True)
+        dots = (g * y).sum(axis=-1, keepdims=True)
         return (g - y * dots) / norms
 
     return Node(y, (m,), (vjp,))
@@ -253,21 +265,21 @@ def l2_normalize_rows(m) -> Node:
 def layer_norm_rows(m, gain, bias, eps: float = 1e-5) -> Node:
     """Per-row standardization followed by an affine map.
 
-    gain and bias are 1 x n; variance is the population variance over the
-    n columns of each row.
+    gain and bias are 1 x n, shared by every row of a stack; variance is
+    the population variance over the n columns of each row.
     """
     if float(eps) <= 0.0:
         raise ConfigError(f"layer_norm_rows: eps must be positive, got {eps}")
     m, gain, bias = _as_node(m), _as_node(gain, "gain"), _as_node(bias, "bias")
-    n = m.value.shape[1]
+    n = m.value.shape[-1]
     if gain.value.shape != (1, n) or bias.value.shape != (1, n):
         raise ShapeError(
             f"layer_norm_rows: gain {gain.value.shape} / bias {bias.value.shape}"
             f" do not match {m.value.shape}"
         )
     v = m.value
-    mean = v.mean(axis=1, keepdims=True)
-    var = ((v - mean) ** 2).mean(axis=1, keepdims=True)
+    mean = v.mean(axis=-1, keepdims=True)
+    var = ((v - mean) ** 2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (v - mean) * inv_std
     out = xhat * gain.value + bias.value
@@ -275,23 +287,33 @@ def layer_norm_rows(m, gain, bias, eps: float = 1e-5) -> Node:
 
     def vjp_m(g: Array) -> Array:
         dxhat = g * gv
-        term = dxhat - dxhat.mean(axis=1, keepdims=True)
-        term -= xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        term = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         return term * inv_std
+
+    def over_rows(g: Array) -> Array:
+        return g.reshape(-1, n).sum(axis=0, keepdims=True)
 
     return Node(
         out,
         (m, gain, bias),
-        (
-            vjp_m,
-            lambda g: (g * xhat).sum(axis=0, keepdims=True),
-            lambda g: g.sum(axis=0, keepdims=True),
-        ),
+        (vjp_m, lambda g: over_rows(g * xhat), over_rows),
     )
 
 
+def _clamped(p: Array) -> Array:
+    """A copy of p clamped to [LOG_CLAMP, 1], with entries within ONE_SNAP of 1 set to 1."""
+    pc = np.clip(p, LOG_CLAMP, 1.0)
+    pc[pc >= 1.0 - ONE_SNAP] = 1.0
+    return pc
+
+
 def cross_entropy_rows(pred, target) -> Node:
-    """Mean over rows of -sum_j target_ij * log(pred_ij).
+    """Mean over rows of -sum_j target_ij * log(pred_ij), summed over a stack.
+
+    pred is n x m or a stack of them; the loss is the sum over the stack of
+    each matrix's row mean, so it stays 1 x 1. target has pred's shape or
+    one that broadcasts to it, such as one eye(m) for every matrix.
 
     Predictions are probabilities by contract; before the log they are
     clamped below at 1e-12 and above at 1, and entries within ONE_SNAP of
@@ -300,20 +322,28 @@ def cross_entropy_rows(pred, target) -> Node:
     exact zero; they only matter within rounding error of the boundaries.
     """
     pred, target = _as_node(pred, "pred"), _as_node(target, "target")
-    _same_shape(pred, target, "cross_entropy_rows")
     p, q = pred.value, target.value
-    rows = p.shape[0]
-    pc = np.clip(p, LOG_CLAMP, 1.0)
-    pc[np.abs(p - 1.0) <= ONE_SNAP] = 1.0
-    logp = np.log(pc)
-    out = np.array([[-(q * logp).sum() / rows]])
-    interior = (p > LOG_CLAMP) & (pc < 1.0)
+    if q.ndim > p.ndim or any(t not in (1, s) for s, t in zip(p.shape[::-1], q.shape[::-1])):
+        raise ShapeError(f"cross_entropy_rows: target {q.shape} does not fit pred {p.shape}")
+    rows = p.shape[-2]
+    # a stack of N x N round trips is large: nothing of p's size is kept
+    # beyond the operands, and each pass below allocates one such array
+    logp = _clamped(p)
+    np.log(logp, out=logp)
+    total = np.vdot(q, logp) if q.shape == p.shape else (q * logp).sum()
+    del logp
+    out = np.array([[-total / rows]])
 
     def vjp_pred(g: Array) -> Array:
-        return g[0, 0] * (-(q / pc) * interior) / rows
+        grad = _clamped(p)
+        interior = (p > LOG_CLAMP) & (grad < 1.0)
+        np.divide(q, grad, out=grad)
+        grad *= interior
+        grad *= -g[0, 0] / rows
+        return grad
 
     def vjp_target(g: Array) -> Array:
-        return g[0, 0] * (-logp) / rows
+        return _sum_to(np.log(_clamped(p)) * (-g[0, 0] / rows), q.shape)
 
     return Node(out, (pred, target), (vjp_pred, vjp_target))
 

@@ -19,6 +19,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -83,6 +84,17 @@ class Scene:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+
+def group_by_cells(scenes: Sequence[Scene]) -> list[list[int]]:
+    """Positions of the scenes grouped by cell count N, groups in order of first appearance.
+
+    The scenes of one group stack into one B x N x D array.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, scene in enumerate(scenes):
+        groups.setdefault(scene.n, []).append(i)
+    return list(groups.values())
 
 
 def _sample_mean_directions(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
@@ -203,11 +215,12 @@ def read_feature_file(path) -> Scene:
     if len(raw) != expect:
         raise DataFormatError(f"{path}: payload length {len(raw)} != expected {expect}")
     offset = _HEADER.size
-    features = np.frombuffer(raw, dtype="<f4", count=n * dim, offset=offset)
-    features = features.reshape(n, dim).astype(np.float64)
-    finite = np.isfinite(features).all(axis=1)
+    stored = np.frombuffer(raw, dtype="<f4", count=n * dim, offset=offset).reshape(n, dim)
+    # checked before the cast: casting a signalling NaN raises a warning first
+    finite = np.isfinite(stored).all(axis=1)
     if not finite.all():
         raise DataFormatError(f"{path}: non-finite feature in cell {int(np.argmin(finite))}")
+    features = stored.astype(np.float64)
     labels = None
     if label_flag:
         offset += 4 * n * dim

@@ -4,6 +4,9 @@ Inference always uses eval-mode slots (the learned means, no sampling),
 so identical checkpoints and inputs give bit-identical masks. The soft
 mask of a scene is the parts -> whole transition matrix in walk space;
 hard labels take the argmax slot per cell, ties to the lowest index.
+Datasets are evaluated with one forward pass per group of scenes with
+the same number of cells, on the stacked features (a large group in
+chunks of bounded size).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import Scene
+from .data import Scene, group_by_cells
 from .errors import ConfigError, DataFormatError, ShapeError, UndefinedMetricError
 from .metrics import EvalReport, ari_fg, assign_classes, dice, kmeans, miou
 from .slots import SlotParams, encode
@@ -33,9 +36,9 @@ def _require_labels(scene: Scene, label: str) -> np.ndarray:
 
 
 def _walks(features, params: SlotParams, proj: WalkProjection, cfg: WalkConfig, iterations: int):
-    """Eval-mode (m_sx, m_xs) of one scene: the K x N and N x K walk matrices."""
+    """Eval-mode (m_sx, m_xs): the K x N and N x K walk matrices of a scene, or their stacks."""
     slots_hat, _ = encode(features, params, iterations, mode="eval")
-    m_sx, m_xs = adjacency(ad.matmul(slots_hat, proj.p_s), ad.matmul(features, proj.p_x), cfg.tau)
+    m_sx, m_xs, _ = adjacency(ad.matmul(slots_hat, proj.p_s), ad.matmul(features, proj.p_x), cfg.tau)
     return m_sx.value, m_xs.value
 
 
@@ -46,9 +49,32 @@ def slot_masks(
     cfg: WalkConfig,
     iterations: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Soft N x K masks (rows sum to 1) and hard per-cell slot labels."""
+    """Soft N x K masks (rows sum to 1) and hard per-cell slot labels; a B x N x D stack gives B of each."""
     _, soft = _walks(features, params, proj, cfg, iterations)
-    return soft, np.argmax(soft, axis=1)
+    return soft, np.argmax(soft, axis=-1)
+
+
+# cells per stacked forward pass: a pass holds a few arrays of this many
+# rows, so its memory does not grow with the dataset; on 8x8 and 24x24
+# scenes larger passes were no faster
+_STACK_CELLS = 4096
+
+
+def _per_scene(scenes: list[Scene], forward) -> list:
+    """forward(stacked features) per group of equal-N scenes, split back into scene order.
+
+    A group of more than _STACK_CELLS cells is stacked in chunks of at most
+    that many; a scene's results do not depend on what it is stacked with.
+    """
+    out: list = [None] * len(scenes)
+    for group in group_by_cells(scenes):
+        per_pass = max(1, _STACK_CELLS // scenes[group[0]].n)
+        for start in range(0, len(group), per_pass):
+            chunk = group[start : start + per_pass]
+            results = forward(np.stack([scenes[i].features for i in chunk]))
+            for j, i in enumerate(chunk):
+                out[i] = tuple(r[j] for r in results)
+    return out
 
 
 def foreground_select(
@@ -72,11 +98,12 @@ def foreground_select(
 
 def _evaluate(report: EvalReport, score, scenes, params, proj, cfg, iterations: int) -> EvalReport:
     """One row per scene from score(hard slot labels, ground-truth labels), then the mean."""
+    ordered = _sorted_scenes(scenes)
+    labels = [_require_labels(s, f"evaluate {report.task}: scene {i}") for i, s in enumerate(ordered)]
     params, proj = params.lift(ad.constant), proj.lift(ad.constant)
-    for i, scene in enumerate(_sorted_scenes(scenes)):
-        labels = _require_labels(scene, f"evaluate {report.task}: scene {i}")
-        _, hard = slot_masks(scene.features, params, proj, cfg, iterations)
-        report.add(scene.name or str(i), score(hard, labels))
+    masks = _per_scene(ordered, lambda x: slot_masks(x, params, proj, cfg, iterations))
+    for i, scene in enumerate(ordered):
+        report.add(scene.name or str(i), score(masks[i][1], labels[i]))
     report.finalize_mean()
     return report
 
@@ -136,9 +163,6 @@ def semantic_segment(
     if num_classes < 1:
         raise ConfigError(f"semantic_segment: num_classes must be >= 1, got {num_classes}")
     ordered = _sorted_scenes(scenes)
-    params, proj = params.lift(ad.constant), proj.lift(ad.constant)
-    pooled: list[np.ndarray] = []
-    cell_slot: list[np.ndarray] = []
     gt_all: list[np.ndarray] = []
     for i, scene in enumerate(ordered):
         labels = np.asarray(_require_labels(scene, f"semantic_segment: scene {i}"))
@@ -148,10 +172,14 @@ def semantic_segment(
                 f"semantic_segment: scene {scene.name or i} has label"
                 f" {int(labels[outside][0])} outside [0, {num_classes})"
             )
-        m_sx, m_xs = _walks(scene.features, params, proj, cfg, iterations)
-        pooled.append(m_sx @ scene.features)
-        cell_slot.append(np.argmax(m_xs, axis=1))
         gt_all.append(labels)
+    params, proj = params.lift(ad.constant), proj.lift(ad.constant)
+
+    def pool_and_bind(x):
+        m_sx, m_xs = _walks(x, params, proj, cfg, iterations)
+        return m_sx @ x, np.argmax(m_xs, axis=-1)
+
+    pooled, cell_slot = zip(*_per_scene(ordered, pool_and_bind))
     pool = np.concatenate(pooled, axis=0)
     if pool.shape[0] < num_classes:
         raise ConfigError(

@@ -8,7 +8,8 @@ each slot pools a weighted mean of the value vectors it won.
 
 Parameters may be held as numpy arrays or lifted to autodiff nodes
 (leaves in training, constants in inference); every function here works
-with either.
+with either. Features may be one scene (N x D) or a stack of scenes with
+equal N (B x N x D); the parameters are shared by every scene of a stack.
 """
 
 from __future__ import annotations
@@ -154,16 +155,21 @@ def init_slots(params: SlotParams, mode: str, seed=None):
     """Initial slots: mu exactly in eval mode, mu + exp(log_sigma) * eps in train mode.
 
     The train-mode draw is reparameterized, so gradients reach both mu and
-    log_sigma; eps is standard normal from the given seed.
+    log_sigma; eps is standard normal from the given seed. A list of seeds
+    draws a stack (B x K x d), one seed per scene, each scene's eps the
+    same as its own single-seed draw.
     """
     if mode == "eval":
         return params.mu
     if mode != "train":
         raise ConfigError(f'init_slots: mode must be "train" or "eval", got {mode!r}')
-    if seed is None:
+    if seed is None or (isinstance(seed, list) and not seed):
         raise ConfigError("init_slots: train mode requires a seed")
     shape = _value(params.mu).shape
-    eps = np.random.default_rng(seed).standard_normal(shape)
+    if isinstance(seed, list):
+        eps = np.stack([np.random.default_rng(s).standard_normal(shape) for s in seed])
+    else:
+        eps = np.random.default_rng(seed).standard_normal(shape)
     return ad.add(params.mu, ad.mul(ad.exp(params.log_sigma), ad.constant(eps)))
 
 
@@ -173,7 +179,7 @@ def _attend(keys, values, slots, params: SlotParams) -> SlotState:
     queries = ad.matmul(s_norm, params.w_q)
     logits = ad.mul(ad.matmul(keys, ad.transpose(queries)), 1.0 / math.sqrt(params.attn_dim))
     attn = ad.softmax_rows(logits, 1.0)
-    n = _value(attn).shape[0]
+    n = _value(attn).shape[-2]
     # the guard keeps an all-unattended slot from dividing by ~0 while the
     # normalization stays exactly column-stochastic
     guarded = ad.add(attn, EPS_ATTN)
@@ -213,12 +219,16 @@ def gru_update(slots, updates, params: SlotParams):
 def encode(x, params: SlotParams, iterations: int, mode: str = "train", seed=None):
     """Run the encoder for `iterations` rounds; returns (slots, last state).
 
-    The feature layer-norm and key/value projections are computed once per
-    encode. With iterations == 0 the initial slots are returned unchanged
-    and the state is None.
+    x is one scene (N x D) or a stack (B x N x D); in train mode a stack
+    takes a list of B seeds, one per scene. The feature layer-norm and
+    key/value projections are computed once per encode. With iterations
+    == 0 the initial slots are returned unchanged and the state is None.
     """
     if iterations < 0:
         raise ConfigError(f"encode: iterations must be >= 0, got {iterations}")
+    shape = np.shape(_value(x))
+    if mode == "train" and len(shape) == 3 and not (isinstance(seed, list) and len(seed) == shape[0]):
+        raise ConfigError(f"encode: a stack of {shape[0]} scenes needs a list of {shape[0]} seeds")
     slots = init_slots(params, mode, seed)
     state: SlotState | None = None
     if iterations > 0:

@@ -13,6 +13,7 @@ checkpoint continues the exact same stream.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import struct
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import Scene, write_bytes_atomic
+from .data import Scene, group_by_cells, write_bytes_atomic
 from .errors import CompatibilityError, ConfigError, DataFormatError, TrainingDivergenceError
 from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, total_loss
@@ -242,16 +243,44 @@ def _batch_loss(
     cfg: TrainConfig,
     step: int,
 ) -> ad.Node:
+    """Mean scene loss of the batch, from one encode and one total_loss per group of equal-N scenes.
+
+    Batch position pos draws its slot noise from (cfg.seed, step, pos).
+    """
     walk = cfg.walk()
-    total: ad.Node | None = None
-    for pos, idx in enumerate(indices):
-        x = ad.constant(scenes[int(idx)].features)
-        slots_hat, _ = encode(
-            x, lifted_params, cfg.iterations, mode="train", seed=(cfg.seed, step, pos)
+    batch = [scenes[int(i)] for i in indices]
+    group_losses = []
+    for group in group_by_cells(batch):
+        x = ad.constant(np.stack([batch[pos].features for pos in group]))
+        seeds = [(cfg.seed, step, pos) for pos in group]
+        slots_hat, _ = encode(x, lifted_params, cfg.iterations, mode="train", seed=seeds)
+        group_losses.append(total_loss(x, slots_hat, lifted_proj, walk))
+    return ad.mul(functools.reduce(ad.add, group_losses), 1.0 / len(indices))
+
+
+def _loss_and_grads(
+    scenes: Sequence[Scene],
+    indices: np.ndarray,
+    params: SlotParams,
+    proj: WalkProjection,
+    cfg: TrainConfig,
+    step: int,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """The batch loss and its gradient per named parameter.
+
+    The step's graph lives only inside this call, so it is freed before
+    the next step builds its own.
+    """
+    lifted_params, lifted_proj = params.lift(ad.leaf), proj.lift(ad.leaf)
+    loss = _batch_loss(scenes, indices, lifted_params, lifted_proj, cfg, step)
+    loss_value = float(loss.value[0, 0])
+    if not np.isfinite(loss_value):
+        raise TrainingDivergenceError(
+            f"non-finite loss at step {step}, batch scenes {indices.tolist()}"
         )
-        loss = total_loss(x, slots_hat, lifted_proj, walk)
-        total = loss if total is None else ad.add(total, loss)
-    return ad.mul(total, 1.0 / len(indices))
+    ad.backward(loss)
+    named = _named_parameters(lifted_params, lifted_proj)
+    return loss_value, {name: node.grad for name, node in named.items()}
 
 
 def _open_trace(path: Path, start_step: int):
@@ -319,20 +348,7 @@ def train(
             replace = cfg.batch_size > len(scenes)
             indices = rng.choice(len(scenes), size=cfg.batch_size, replace=replace)
 
-            lifted_params = params.lift(ad.leaf)
-            lifted_proj = proj.lift(ad.leaf)
-            loss = _batch_loss(scenes, indices, lifted_params, lifted_proj, cfg, step)
-            loss_value = float(loss.value[0, 0])
-            if not np.isfinite(loss_value):
-                raise TrainingDivergenceError(
-                    f"non-finite loss at step {step}, batch scenes {indices.tolist()}"
-                )
-            ad.backward(loss)
-
-            grads = {
-                name: node.grad
-                for name, node in _named_parameters(lifted_params, lifted_proj).items()
-            }
+            loss_value, grads = _loss_and_grads(scenes, indices, params, proj, cfg, step)
             grads, norm = clip_grad_norm(grads, cfg.clip_norm, step)
             _, post_norm = clip_grad_norm(grads, np.inf)
             lr = lr_at(step, cfg)

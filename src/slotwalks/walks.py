@@ -12,7 +12,9 @@ to be consistent:
   slots must cover everything the features consider similar.
 
 Both node sets are first mapped by trainable linear projections into a
-shared walk space of width `dim`.
+shared walk space of width `dim`. Every function here also takes a stack
+of scenes with equal N (B x K x dim slots, B x N x dim features) and then
+returns one matrix per scene, or a loss summed over the scenes.
 """
 
 from __future__ import annotations
@@ -85,28 +87,36 @@ class WalkProjection:
         return dataclasses.replace(self, **{k: make(v) for k, v in self.named().items()})
 
 
-def adjacency(slots_p, feats_p, tau: float) -> tuple[ad.Node, ad.Node]:
+def adjacency(slots_p, feats_p, tau: float) -> tuple[ad.Node, ad.Node, ad.Node]:
     """Both walk transition matrices, from one cosine matrix (the walk kernel).
 
     Each input is l2-normalized per row once, S holds the K x N cosine
-    similarities, and the result is (m_sx, m_xs) = (softmax_rows(S / tau),
-    softmax_rows(S^T / tau)): slots -> features and features -> slots.
+    similarities, and the result is (m_sx, m_xs, feats_n) = (softmax_rows(S
+    / tau), softmax_rows(S^T / tau), the unit feature rows): slots ->
+    features, features -> slots, and the rows `pwp_target` takes.
     """
-    sims = ad.matmul(ad.l2_normalize_rows(slots_p), ad.transpose(ad.l2_normalize_rows(feats_p)))
-    return ad.softmax_rows(sims, tau), ad.softmax_rows(ad.transpose(sims), tau)
+    feats_n = ad.l2_normalize_rows(feats_p)
+    sims = ad.matmul(ad.l2_normalize_rows(slots_p), ad.transpose(feats_n))
+    return ad.softmax_rows(sims, tau), ad.softmax_rows(ad.transpose(sims), tau), feats_n
 
 
 def wpw_loss(m_sx, m_xs) -> ad.Node:
     """Cross entropy of the whole->parts->whole round trip m_sx m_xs against the identity."""
     round_trip = ad.matmul(m_sx, m_xs)
-    k = round_trip.value.shape[0]
+    k = round_trip.value.shape[-1]
     return ad.cross_entropy_rows(round_trip, ad.constant(np.eye(k)))
 
 
-def pwp_target(feats_p, gamma: float) -> np.ndarray:
+# rounding leaves an l2-normalized row's squared norm this close to 1
+_UNIT_TOL = 1e-9
+
+
+def pwp_target(feats, gamma: float) -> np.ndarray:
     """Thresholded feature-feature correspondence target (plain array, no gradient).
 
-    Pairwise cosine similarities at or below gamma are excluded; the
+    Rows are l2-normalized first, unless they already have unit norm (the
+    third output of `adjacency`), so f f^T are the pairwise cosine
+    similarities. Similarities at or below gamma are excluded; the
     survivors are row-softmaxed at temperature 1. The diagonal always
     survives because every row has cosine 1 with itself, which is why
     gamma must stay below 1.
@@ -115,15 +125,21 @@ def pwp_target(feats_p, gamma: float) -> np.ndarray:
         raise ConfigError(
             f"pwp_target: gamma must be < 1 so self-similarity survives, got {gamma}"
         )
-    f = ad.l2_normalize_rows(feats_p).value
-    sims = f @ f.T
-    logits = np.where(sims <= gamma, -np.inf, sims)
+    f = feats.value if isinstance(feats, ad.Node) else ad.as_matrix(feats, "pwp_target features")
+    if not np.all(np.abs((f * f).sum(axis=-1) - 1.0) <= _UNIT_TOL):
+        f = ad.l2_normalize_rows(f).value
+    # for a stack of N x N targets every step after the product works in place
+    logits = f @ np.swapaxes(f, -1, -2)
     # self-similarity is exactly 1 mathematically; keep the diagonal even
     # when rounding drops it a few ulps below a gamma chosen right at 1
-    np.fill_diagonal(logits, np.diag(sims))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    diag = np.diagonal(logits, axis1=-2, axis2=-1).copy()
+    logits[logits <= gamma] = -np.inf
+    cells = np.arange(logits.shape[-1])
+    logits[..., cells, cells] = diag
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def pwp_loss(m_sx, m_xs, target: np.ndarray) -> ad.Node:
@@ -149,15 +165,16 @@ def total_loss(
     Both round trips read the same two walk matrices, built once. A term
     whose coefficient is 0 is never evaluated, which is what the
     single-direction ablations rely on. The pwp target is computed from
-    the projected features unless `pwp_frozen_target` is given.
+    the kernel's unit feature rows unless `pwp_frozen_target` is given.
+    For a stack of scenes the loss is the sum of the per-scene losses.
     """
     feats_p = ad.matmul(x, proj.p_x)
     slots_p = ad.matmul(slots_hat, proj.p_s)
-    m_sx, m_xs = adjacency(slots_p, feats_p, cfg.tau)
+    m_sx, m_xs, feats_n = adjacency(slots_p, feats_p, cfg.tau)
     terms: list[ad.Node] = []
     if cfg.alpha > 0.0:
         terms.append(ad.mul(wpw_loss(m_sx, m_xs), cfg.alpha))
     if cfg.beta > 0.0:
-        target = pwp_target(feats_p, cfg.gamma) if pwp_frozen_target is None else pwp_frozen_target
+        target = pwp_target(feats_n, cfg.gamma) if pwp_frozen_target is None else pwp_frozen_target
         terms.append(ad.mul(pwp_loss(m_sx, m_xs, target), cfg.beta))
     return functools.reduce(ad.add, terms)

@@ -115,6 +115,8 @@ class TestL2NormalizeRows:
         m = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
         with pytest.raises(DegenerateInputError, match="row 1"):
             ad.l2_normalize_rows(m)
+        with pytest.raises(DegenerateInputError, match=r"row \(1, 1\)"):
+            ad.l2_normalize_rows(np.stack([m[[0, 2, 2]], m]))
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(6)
@@ -215,6 +217,66 @@ class TestElementwiseOps:
             op(np.ones((2, 3)), np.ones((1, 2)))
         with pytest.raises(ShapeError):
             op(np.ones((2, 3)), np.ones((3, 2)))
+
+
+class TestStacks:
+    """A stack (B x n x m) runs every op on each matrix; 2-D operands are shared."""
+
+    def test_matmul_per_matrix_and_shared_factor(self):
+        rng = np.random.default_rng(20)
+        a, b, w = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 2, 5)), rng.normal(size=(2, 5))
+        assert np.array_equal(ad.matmul(a, b).value, np.stack([a[i] @ b[i] for i in range(3)]))
+        assert np.array_equal(ad.matmul(a, w).value, np.stack([a[i] @ w for i in range(3)]))
+
+    def test_matmul_batch_axes_must_broadcast(self):
+        with pytest.raises(ShapeError, match="matmul"):
+            ad.matmul(np.ones((2, 3, 4)), np.ones((3, 4, 5)))
+
+    def test_transpose_swaps_the_last_two_axes(self):
+        a = np.arange(24.0).reshape(2, 3, 4)
+        assert np.array_equal(ad.transpose(a).value, a.transpose(0, 2, 1))
+
+    def test_shared_parameter_gradient_sums_over_the_stack(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(3, 4, 2))
+        w = ad.leaf(rng.normal(size=(2, 5)))
+        ad.backward(ad.sum_all(ad.matmul(x, w)))
+        expect = sum(x[i].T @ np.ones((4, 5)) for i in range(3))
+        assert np.allclose(w.grad, expect, atol=1e-12)
+
+    def test_cross_entropy_sums_the_row_means_of_each_matrix(self):
+        rng = np.random.default_rng(22)
+        p = rng.dirichlet(np.ones(3), size=(2, 3))
+        q = rng.dirichlet(np.ones(3), size=(2, 3))
+        out = ad.cross_entropy_rows(p, q).value
+        assert out.shape == (1, 1)
+        assert abs(out[0, 0] - sum(cross_entropy_oracle(p[i], q[i]) for i in range(2))) <= 1e-12
+        shared = ad.cross_entropy_rows(p, np.eye(3)).value[0, 0]
+        assert abs(shared - sum(cross_entropy_oracle(p[i], np.eye(3)) for i in range(2))) <= 1e-12
+
+    def test_cross_entropy_target_must_fit_pred(self):
+        p = np.full((2, 3, 3), 1.0 / 3)
+        for target in (np.ones((3, 2)), np.ones((3, 3, 3)), np.ones((1, 2, 3, 3))):
+            with pytest.raises(ShapeError):
+                ad.cross_entropy_rows(p, target)
+
+
+class TestGraphRetention:
+    def test_constant_chain_keeps_no_parents(self):
+        c = ad.constant(np.ones((2, 3)))
+        out = ad.sum_all(ad.exp(ad.add(ad.matmul(c, ad.transpose(c)), 1.0)))
+        assert not out.needs_grad
+        assert out._parents == () and out._vjps == ()
+
+    def test_graph_from_a_leaf_keeps_its_parents(self):
+        x = ad.leaf(np.ones((2, 3)))
+        c = ad.constant(np.ones((3, 2)))
+        prod = ad.matmul(x, c)
+        out = ad.sum_all(ad.exp(prod))
+        assert out._parents[0]._parents == (prod,)
+        assert prod._parents == (x, c) and len(prod._vjps) == 2
+        ad.backward(out)
+        assert np.allclose(x.grad, np.full((2, 3), 2.0 * np.exp(3.0)), atol=1e-9)
 
 
 class TestBackward:

@@ -1,5 +1,8 @@
 """Tests for scene generation and the .ocwf binary format."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,18 @@ class TestFeatureFile:
         write_feature_file(path, Scene(features=features))
         with pytest.raises(DataFormatError, match=r"nan\.ocwf: non-finite feature in cell 2"):
             read_feature_file(path)
+
+    def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
+        path = tmp_path / "snan.ocwf"
+        write_feature_file(path, Scene(features=np.ones((4, 3))))
+        raw = bytearray(path.read_bytes())
+        cell = len(raw) - 4 * 12 + 4 * 5  # float32 payload ends the file; cell 1, column 2
+        raw[cell : cell + 4] = struct.pack("<I", 0x7F800001)
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="non-finite feature in cell 1"):
+                read_feature_file(path)
 
     def test_load_dataset_sorted(self, tmp_path):
         cfg = SceneConfig(height=2, width=2, classes=1, feature_dim=2)

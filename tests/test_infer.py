@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slotwalks import infer
 from slotwalks.data import Scene, SceneConfig, generate_scene
 from slotwalks.errors import ConfigError, DataFormatError, ShapeError, UndefinedMetricError
 from slotwalks.infer import (
@@ -32,7 +33,22 @@ def read_pgm(path):
     return magic, w, h, np.frombuffer(rest, dtype=np.uint8)
 
 
+def stacked_scenes(height, width, classes, count, seed=0):
+    cfg = SceneConfig(height=height, width=width, classes=classes, feature_dim=8, noise_std=0.1)
+    return [generate_scene(cfg, seed=(seed, i)) for i in range(count)]
+
+
 class TestSlotMasks:
+    @pytest.mark.parametrize("height, width, classes", [(8, 8, 3), (24, 24, 7)])
+    def test_stack_matches_per_scene_calls_bit_for_bit(self, height, width, classes):
+        params, proj, cfg = toy_model(num_slots=classes)
+        scenes = stacked_scenes(height, width, classes, count=5)
+        soft, hard = slot_masks(np.stack([s.features for s in scenes]), params, proj, cfg, 3)
+        for i, scene in enumerate(scenes):
+            alone_soft, alone_hard = slot_masks(scene.features, params, proj, cfg, 3)
+            assert np.array_equal(soft[i], alone_soft)
+            assert np.array_equal(hard[i], alone_hard)
+
     def test_single_slot(self):
         params, proj, cfg = toy_model(num_slots=1)
         x = np.random.default_rng(0).normal(size=(10, 8))
@@ -103,6 +119,25 @@ class TestTaskEvaluators:
         report = evaluate_discovery(scenes, params, proj, cfg, iterations=2)
         assert report.columns == ["ari_fg"]
         assert len(report.rows) == 3
+
+    def test_mixed_cell_counts_score_each_scene_as_alone(self):
+        params, proj, cfg = toy_model(num_slots=3)
+        scenes = stacked_scenes(4, 4, 3, count=3) + stacked_scenes(3, 5, 3, count=3, seed=1)
+        for i, s in enumerate(scenes):
+            s.name = f"{(i * 5) % 6:04d}.ocwf"  # the two sizes interleave in name order
+        report = evaluate_discovery(scenes, params, proj, cfg, iterations=2)
+        alone = {s.name: evaluate_discovery([s], params, proj, cfg, iterations=2).rows[0] for s in scenes}
+        assert report.rows == [alone[name] for name in sorted(alone)]
+        semantic = semantic_segment(scenes, params, proj, cfg, iterations=2, num_classes=3)
+        reversed_order = semantic_segment(scenes[::-1], params, proj, cfg, iterations=2, num_classes=3)
+        assert semantic.to_text() == reversed_order.to_text()
+
+    def test_chunked_stacks_give_the_same_report(self, monkeypatch):
+        params, proj, cfg = toy_model(num_slots=3)
+        scenes = stacked_scenes(4, 4, 3, count=7)
+        whole = evaluate_discovery(scenes, params, proj, cfg, iterations=2).to_text()
+        monkeypatch.setattr(infer, "_STACK_CELLS", 3 * 16)  # three scenes per pass
+        assert evaluate_discovery(scenes, params, proj, cfg, iterations=2).to_text() == whole
 
     def test_missing_labels_rejected(self):
         params, proj, cfg = toy_model()

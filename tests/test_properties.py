@@ -1,5 +1,8 @@
 """Property tests: autodiff ops against finite differences, and the two binary formats.
 
+Every op is checked on plain matrices and on stacks with a leading batch
+axis of 1 to 3, including a 2-D parameter broadcast against a stack.
+
 Examples are derandomized and the database is off, so every run checks
 the same examples and the suite stays deterministic.
 """
@@ -21,6 +24,8 @@ GRAD_TOL = 1e-3
 
 sizes = st.integers(min_value=1, max_value=4)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+# leading batch axes: none (a plain matrix) or one axis of 1 to 3 scenes
+leads = st.sampled_from([(), (1,), (2,), (3,)])
 
 
 def _weighted(out, rng):
@@ -45,11 +50,12 @@ UNARY_OPS = {
 
 
 @PROPERTY
-@given(op=st.sampled_from(sorted(UNARY_OPS)), rows=sizes, cols=sizes, seed=seeds)
-def test_unary_ops_match_finite_differences(op, rows, cols, seed):
+@given(op=st.sampled_from(sorted(UNARY_OPS)), lead=leads, rows=sizes, cols=sizes, seed=seeds)
+def test_unary_ops_match_finite_differences(op, lead, rows, cols, seed):
     rng = np.random.default_rng(seed)
+    shape = lead + (rows, cols)
     # entries in +-[0.5, 2] keep every row norm well away from zero
-    a = rng.choice([-1.0, 1.0], size=(rows, cols)) * rng.uniform(0.5, 2.0, size=(rows, cols))
+    a = rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.5, 2.0, size=shape)
 
     def make_loss(nodes):
         return _weighted(UNARY_OPS[op](nodes), np.random.default_rng(seed))
@@ -58,10 +64,13 @@ def test_unary_ops_match_finite_differences(op, rows, cols, seed):
 
 
 @PROPERTY
-@given(m=sizes, k=sizes, n=sizes, seed=seeds)
-def test_matmul_matches_finite_differences(m, k, n, seed):
+@given(m=sizes, k=sizes, n=sizes, lead=leads, matrix=st.sampled_from(["neither", "a", "b"]), seed=seeds)
+def test_matmul_matches_finite_differences(m, k, n, lead, matrix, seed):
     rng = np.random.default_rng(seed)
-    params = {"a": rng.normal(size=(m, k)), "b": rng.normal(size=(k, n))}
+    # `matrix` names the factor that stays 2-D and is shared by the stack
+    a_lead = () if matrix == "a" else lead
+    b_lead = () if matrix == "b" else lead
+    params = {"a": rng.normal(size=a_lead + (m, k)), "b": rng.normal(size=b_lead + (k, n))}
 
     def make_loss(nodes):
         return _weighted(ad.matmul(nodes["a"], nodes["b"]), np.random.default_rng(seed))
@@ -72,18 +81,20 @@ def test_matmul_matches_finite_differences(m, k, n, seed):
 @PROPERTY
 @given(
     op=st.sampled_from(["add", "mul", "div"]),
-    other=st.sampled_from(["same", "row", "1x1", "number"]),
+    other=st.sampled_from(["same", "matrix", "row", "1x1", "number"]),
     other_first=st.booleans(),
+    lead=leads,
     rows=sizes,
     cols=sizes,
     seed=seeds,
 )
-def test_broadcast_ops_match_finite_differences(op, other, other_first, rows, cols, seed):
+def test_broadcast_ops_match_finite_differences(op, other, other_first, lead, rows, cols, seed):
     rng = np.random.default_rng(seed)
     fn = getattr(ad, op)
     # operands in [0.5, 2] keep div away from a zero denominator
-    params = {"m": rng.uniform(0.5, 2.0, size=(rows, cols))}
-    shape = {"same": (rows, cols), "row": (1, cols), "1x1": (1, 1)}.get(other)
+    params = {"m": rng.uniform(0.5, 2.0, size=lead + (rows, cols))}
+    # "matrix" is a 2-D operand, shared by every matrix of a stack
+    shape = {"same": lead + (rows, cols), "matrix": (rows, cols), "row": (1, cols), "1x1": (1, 1)}.get(other)
     if shape is not None:
         params["s"] = rng.uniform(0.5, 2.0, size=shape)
     number = float(rng.uniform(0.5, 2.0))
@@ -97,11 +108,12 @@ def test_broadcast_ops_match_finite_differences(op, other, other_first, rows, co
 
 
 @PROPERTY
-@given(rows=sizes, cols=st.integers(min_value=2, max_value=5), seed=seeds)
-def test_layer_norm_matches_finite_differences(rows, cols, seed):
+@given(lead=leads, rows=sizes, cols=st.integers(min_value=2, max_value=5), seed=seeds)
+def test_layer_norm_matches_finite_differences(lead, rows, cols, seed):
     rng = np.random.default_rng(seed)
-    # a spread of at least 1 within each row keeps the variance away from eps
-    m = rng.normal(size=(rows, cols)) + np.linspace(-1.0, 1.0, cols)
+    # a spread of at least 1 within each row keeps the variance away from eps;
+    # the 1 x cols gain and bias are shared by every matrix of a stack
+    m = rng.normal(size=lead + (rows, cols)) + np.linspace(-1.0, 1.0, cols)
     params = {"m": m, "gain": rng.normal(size=(1, cols)), "bias": rng.normal(size=(1, cols))}
 
     def make_loss(nodes):
@@ -112,10 +124,11 @@ def test_layer_norm_matches_finite_differences(rows, cols, seed):
 
 
 @PROPERTY
-@given(rows=sizes, cols=sizes, seed=seeds)
-def test_cross_entropy_matches_finite_differences_in_both_arguments(rows, cols, seed):
+@given(lead=leads, shared_target=st.booleans(), rows=sizes, cols=sizes, seed=seeds)
+def test_cross_entropy_matches_finite_differences_in_both_arguments(lead, shared_target, rows, cols, seed):
     rng = np.random.default_rng(seed)
-    params = {"p": rng.normal(size=(rows, cols)), "q": rng.normal(size=(rows, cols))}
+    q_lead = () if shared_target else lead
+    params = {"p": rng.normal(size=lead + (rows, cols)), "q": rng.normal(size=q_lead + (rows, cols))}
 
     def make_loss(nodes):
         return ad.cross_entropy_rows(ad.softmax_rows(nodes["p"], 1.0), ad.softmax_rows(nodes["q"], 1.0))

@@ -75,6 +75,16 @@ class TestInitSlots:
     def test_train_mode_requires_seed(self):
         with pytest.raises(ConfigError):
             init_slots(make_params(2, 4, 4), "train")
+        with pytest.raises(ConfigError):
+            init_slots(make_params(2, 4, 4), "train", seed=[])
+
+    def test_seed_list_draws_each_scene_as_alone(self):
+        p = make_params(3, 4, 5)
+        seeds = [(7, 0, 0), (7, 0, 1), (7, 0, 2)]
+        stack = as_value(init_slots(p, "train", seed=seeds))
+        assert stack.shape == (3, 3, 5)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(stack[i], as_value(init_slots(p, "train", seed=seed)))
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -208,6 +218,24 @@ class TestEncode:
         a, _ = encode(x, p, 3, mode="train", seed=99)
         b, _ = encode(x, p, 3, mode="train", seed=99)
         assert np.array_equal(as_value(a), as_value(b))
+
+    def test_stack_needs_one_seed_per_scene(self):
+        p = make_params(2, 4, 4)
+        x = np.ones((3, 5, 4))
+        for seed in (0, (0, 1), [0, 1]):
+            with pytest.raises(ConfigError, match="3 seeds"):
+                encode(x, p, 1, mode="train", seed=seed)
+
+    def test_stack_matches_per_scene_encodes(self):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(3, 7, 4))
+        p = make_params(2, 4, 6)
+        seeds = [(1, 2, pos) for pos in range(3)]
+        for mode, seed in (("train", seeds), ("eval", None)):
+            stacked, _ = encode(x, p, 3, mode=mode, seed=seed)
+            for i in range(3):
+                alone, _ = encode(x[i], p, 3, mode=mode, seed=seeds[i] if seed else None)
+                assert np.allclose(as_value(stacked)[i], as_value(alone), rtol=0, atol=1e-12)
 
     def test_negative_iterations_rejected(self):
         p = make_params(2, 4, 4)

@@ -1,20 +1,28 @@
 """Tests for the schedule, optimizer, training loop, checkpoints, and config text."""
 
 import dataclasses
+import functools
 import hashlib
 import io
 import os
 import re
 import struct
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from slotwalks import autodiff as ad
 from slotwalks.data import SceneConfig, generate_scene, write_feature_file
 from slotwalks.errors import CompatibilityError, ConfigError, DataFormatError, TrainingDivergenceError
+from slotwalks.slots import encode
 from slotwalks.train import (
     OptimState,
     TrainConfig,
+    _batch_loss,
+    _init_model,
+    _named_parameters,
     adamw_step,
     clip_grad_norm,
     config_hash,
@@ -25,6 +33,7 @@ from slotwalks.train import (
     save_checkpoint,
     train,
 )
+from slotwalks.walks import total_loss
 
 
 def toy_config(**overrides) -> TrainConfig:
@@ -136,6 +145,73 @@ class TestAdamW:
         state = OptimState.for_params(params)
         adamw_step(params, {"w": np.zeros((1, 1))}, state, lr=0.5, weight_decay=0.1)
         assert abs(params["w"][0, 0] - (4.0 - 0.5 * 0.1 * 4.0)) <= 1e-12
+
+
+def scene_loss(scene, params, proj, cfg, seed):
+    """One scene's loss on its own, as 2-D matrices."""
+    x = ad.constant(scene.features)
+    slots_hat, _ = encode(x, params, cfg.iterations, mode="train", seed=seed)
+    return total_loss(x, slots_hat, proj, cfg.walk())
+
+
+class TestBatchedLoss:
+    def test_stack_loss_and_gradients_equal_the_sum_over_scenes(self):
+        scenes = toy_scenes(count=5)
+        cfg = toy_config()
+        params, proj = (m.lift(ad.leaf) for m in _init_model(cfg))
+        seeds = [(cfg.seed, 3, pos) for pos in range(5)]
+        x = ad.constant(np.stack([s.features for s in scenes]))
+        slots_hat, _ = encode(x, params, cfg.iterations, mode="train", seed=seeds)
+        stacked = total_loss(x, slots_hat, proj, cfg.walk())
+        ad.backward(stacked)
+        stacked_grads = {k: n.grad.copy() for k, n in _named_parameters(params, proj).items()}
+
+        alone_params, alone_proj = (m.lift(ad.leaf) for m in _init_model(cfg))
+        alone = [scene_loss(s, alone_params, alone_proj, cfg, seed) for s, seed in zip(scenes, seeds)]
+        ad.backward(functools.reduce(ad.add, alone))
+        assert abs(stacked.value[0, 0] - sum(a.value[0, 0] for a in alone)) <= 1e-12
+        for name, node in _named_parameters(alone_params, alone_proj).items():
+            assert np.allclose(stacked_grads[name], node.grad, rtol=1e-9, atol=1e-12), name
+
+    def test_mixed_cell_counts_give_the_mean_of_scene_losses(self):
+        small = toy_scenes(count=3)
+        cfg_big = SceneConfig(height=5, width=4, classes=2, feature_dim=8, noise_std=0.1)
+        scenes = small + [generate_scene(cfg_big, seed=(1, i)) for i in range(3)]
+        indices = np.array([3, 0, 4, 1, 5, 3])
+        cfg = toy_config()
+        params, proj = (m.lift(ad.leaf) for m in _init_model(cfg))
+        batched = _batch_loss(scenes, indices, params, proj, cfg, step=7).value[0, 0]
+        alone = [
+            scene_loss(scenes[i], params, proj, cfg, (cfg.seed, 7, pos)).value[0, 0]
+            for pos, i in enumerate(indices)
+        ]
+        assert abs(batched - np.mean(alone)) <= 1e-12
+
+    def test_train_accepts_mixed_cell_counts(self):
+        cfg_big = SceneConfig(height=5, width=4, classes=2, feature_dim=8, noise_std=0.1)
+        scenes = toy_scenes(count=4) + [generate_scene(cfg_big, seed=(1, i)) for i in range(4)]
+        result = train(scenes, toy_config(total_steps=3, warmup_steps=1))
+        assert result.steps_run == 3 and np.all(np.isfinite(result.losses))
+
+    def test_step_graph_is_freed_before_the_next_is_built(self, monkeypatch):
+        train_mod = sys.modules["slotwalks.train"]
+        losses: list[weakref.ref] = []
+        alive_at_encode: list[bool] = []
+        backward, encode_fn = ad.backward, train_mod.encode
+
+        def tracked_backward(loss):
+            losses.append(weakref.ref(loss))
+            return backward(loss)
+
+        def checked_encode(*args, **kwargs):
+            alive_at_encode.append(any(ref() is not None for ref in losses))
+            return encode_fn(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "backward", tracked_backward)
+        monkeypatch.setattr(train_mod, "encode", checked_encode)
+        train(toy_scenes(), toy_config(total_steps=3, warmup_steps=1))
+        assert len(losses) == 3
+        assert alive_at_encode == [False, False, False]
 
 
 class TestTrainLoop:

@@ -64,7 +64,7 @@ class TestWalkConfig:
 class TestAdjacency:
     def test_single_matching_vector(self):
         v = np.array([[0.6, 0.8]])
-        assert all(m.value[0, 0] == 1.0 for m in adjacency(v, v, 0.1))
+        assert all(m.value[0, 0] == 1.0 for m in adjacency(v, v, 0.1)[:2])
 
     def test_matching_vs_orthogonal_mass(self):
         a = np.array([[1.0, 0.0, 0.0]])
@@ -77,7 +77,7 @@ class TestAdjacency:
     def test_matches_oracle(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
-        m_ab, m_ba = adjacency(a, b, 0.3)
+        m_ab, m_ba, _ = adjacency(a, b, 0.3)
         assert np.allclose(m_ab.value, adjacency_oracle(a, b, 0.3), atol=1e-12)
         assert np.allclose(m_ba.value, adjacency_oracle(b, a, 0.3), atol=1e-12)
 
@@ -91,7 +91,7 @@ class TestAdjacency:
         for _ in range(25):
             a = rng.normal(size=(rng.integers(1, 6), 4))
             b = rng.normal(size=(rng.integers(1, 6), 4))
-            for m in adjacency(a, b, 0.2):
+            for m in adjacency(a, b, 0.2)[:2]:
                 assert np.max(np.abs(m.value.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_row_scale_invariance(self):
@@ -111,14 +111,14 @@ class TestWpwLoss:
         for i in range(10):
             x = rng.normal(size=(6, 4))
             s = rng.normal(size=(1, 4))
-            assert wpw_loss(*adjacency(s, x, 0.1)).value[0, 0] == 0.0
+            assert wpw_loss(*adjacency(s, x, 0.1)[:2]).value[0, 0] == 0.0
 
     def test_orthogonal_clusters_near_zero(self):
         rng = np.random.default_rng(4)
         slots = np.eye(2, 6)
         noise = rng.normal(scale=0.01, size=(10, 6))
         x = np.vstack([np.tile(slots[0], (5, 1)), np.tile(slots[1], (5, 1))]) + noise
-        loss = wpw_loss(*adjacency(slots, x, 0.05)).value[0, 0]
+        loss = wpw_loss(*adjacency(slots, x, 0.05)[:2]).value[0, 0]
         assert loss <= 1e-3
         # direct evaluation of the two-hop product
         m = adjacency_oracle(slots, x, 0.05) @ adjacency_oracle(x, slots, 0.05)
@@ -128,7 +128,7 @@ class TestWpwLoss:
     def test_matches_diagonal_log_oracle(self):
         rng = np.random.default_rng(5)
         s, x = rng.normal(size=(3, 4)), rng.normal(size=(9, 4))
-        loss = wpw_loss(*adjacency(s, x, 0.1)).value[0, 0]
+        loss = wpw_loss(*adjacency(s, x, 0.1)[:2]).value[0, 0]
         m = adjacency_oracle(s, x, 0.1) @ adjacency_oracle(x, s, 0.1)
         expect = -np.log(np.maximum(np.diag(m), 1e-12)).sum() / 3
         assert abs(loss - expect) <= 1e-9
@@ -138,14 +138,14 @@ class TestWpwLoss:
         for _ in range(25):
             s = rng.normal(size=(rng.integers(1, 5), 4))
             x = rng.normal(size=(rng.integers(5, 12), 4))
-            assert wpw_loss(*adjacency(s, x, 0.2)).value[0, 0] >= 0.0
+            assert wpw_loss(*adjacency(s, x, 0.2)[:2]).value[0, 0] >= 0.0
 
     def test_round_trip_rows_stochastic(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             s = rng.normal(size=(3, 5))
             x = rng.normal(size=(8, 5))
-            m = ad.matmul(*adjacency(s, x, 0.1)).value
+            m = ad.matmul(*adjacency(s, x, 0.1)[:2]).value
             assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-9
 
 
@@ -168,6 +168,18 @@ class TestPwpTarget:
         with pytest.raises(ConfigError):
             pwp_target(np.eye(3), 1.0)
 
+    def test_unit_rows_used_as_given(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(6, 4))
+        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+        assert np.allclose(pwp_target(unit, 0.3), pwp_target(x, 0.3), rtol=0, atol=1e-12)
+
+    def test_stack_gives_one_target_per_scene(self):
+        x = np.random.default_rng(11).normal(size=(3, 6, 4))
+        stacked = pwp_target(x, 0.3)
+        for i in range(3):
+            assert np.array_equal(stacked[i], pwp_target(x[i], 0.3))
+
     def test_rows_stochastic_and_diagonal_survives(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
@@ -180,13 +192,13 @@ class TestPwpTarget:
 class TestPwpLoss:
     def test_slots_equal_features_near_zero(self):
         x = np.eye(4, 4)
-        loss = pwp_loss(*adjacency(x, x, 0.05), pwp_target(x, 0.7)).value[0, 0]
+        loss = pwp_loss(*adjacency(x, x, 0.05)[:2], pwp_target(x, 0.7)).value[0, 0]
         assert loss <= 1e-2
 
     def test_matches_product_then_ce_oracle(self):
         rng = np.random.default_rng(10)
         x, s = rng.normal(size=(7, 4)), rng.normal(size=(3, 4))
-        loss = pwp_loss(*adjacency(s, x, 0.1), pwp_target(x, 0.3)).value[0, 0]
+        loss = pwp_loss(*adjacency(s, x, 0.1)[:2], pwp_target(x, 0.3)).value[0, 0]
         m = adjacency_oracle(x, s, 0.1) @ adjacency_oracle(s, x, 0.1)
         target = pwp_target_oracle(x, 0.3)
         expect = -(target * np.log(np.clip(m, 1e-12, 1.0))).sum() / 7
@@ -196,7 +208,7 @@ class TestPwpLoss:
         rng = np.random.default_rng(11)
         x, s = rng.normal(size=(5, 4)), rng.normal(size=(2, 4))
         frozen = np.full((5, 5), 0.2)
-        loss = pwp_loss(*adjacency(s, x, 0.1), frozen).value[0, 0]
+        loss = pwp_loss(*adjacency(s, x, 0.1)[:2], frozen).value[0, 0]
         m = adjacency_oracle(x, s, 0.1) @ adjacency_oracle(s, x, 0.1)
         expect = -(frozen * np.log(np.clip(m, 1e-12, 1.0))).sum() / 5
         assert abs(loss - expect) <= 1e-9
@@ -217,20 +229,20 @@ class TestTotalLoss:
     def test_alpha_only_equals_wpw(self):
         cfg = WalkConfig(alpha=1.0, beta=0.0, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
-        expect = wpw_loss(*adjacency(slots_p, feats_p, 0.1)).value[0, 0]
+        expect = wpw_loss(*adjacency(slots_p, feats_p, 0.1)[:2]).value[0, 0]
         assert total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0] == expect
 
     def test_beta_only_equals_pwp(self):
         cfg = WalkConfig(alpha=0.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
-        expect = pwp_loss(*adjacency(slots_p, feats_p, 0.1), pwp_target(feats_p, 0.7)).value[0, 0]
+        expect = pwp_loss(*adjacency(slots_p, feats_p, 0.1)[:2], pwp_target(feats_p, 0.7)).value[0, 0]
         assert total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0] == expect
 
     def test_both_terms_sum(self):
         cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
-        wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)).value[0, 0]
-        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1), pwp_target(feats_p, 0.7)).value[0, 0]
+        wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)[:2]).value[0, 0]
+        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1)[:2], pwp_target(feats_p, 0.7)).value[0, 0]
         total = total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0]
         assert abs(total - (wpw + pwp)) <= 1e-12
 
@@ -254,11 +266,24 @@ class TestTotalLoss:
         total_loss(self.x, self.s_hat, self.proj, cfg)
         assert len(calls) == 1
 
+    def test_features_normalized_once(self, monkeypatch):
+        calls = []
+        normalize = ad.l2_normalize_rows
+
+        def counted(m):
+            calls.append(m)
+            return normalize(m)
+
+        monkeypatch.setattr(ad, "l2_normalize_rows", counted)
+        cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
+        total_loss(self.x, self.s_hat, self.proj, cfg)
+        assert len(calls) == 2  # the slots and the features, each once
+
     def test_coefficients_scale_terms(self):
         cfg = WalkConfig(alpha=2.0, beta=0.5, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
-        wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)).value[0, 0]
-        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1), pwp_target(feats_p, 0.7)).value[0, 0]
+        wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)[:2]).value[0, 0]
+        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1)[:2], pwp_target(feats_p, 0.7)).value[0, 0]
         total = total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0]
         assert abs(total - (2.0 * wpw + 0.5 * pwp)) <= 1e-12
 
