@@ -28,7 +28,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 
 _NO_THRESHOLD = float("-inf")
 
@@ -110,8 +110,20 @@ def wpw_loss(m_sx, m_xs) -> ad.Node:
 # rounding leaves an l2-normalized row's squared norm this close to 1
 _UNIT_TOL = 1e-9
 
+# target rows per block of the parts->whole->parts loss: nothing of size
+# N x N is held at once, only one block of rows across the whole stack
+_BLOCK_ROWS = 32
 
-def pwp_target(feats, gamma: float) -> np.ndarray:
+
+def _unit_rows(feats, name: str) -> np.ndarray:
+    """The rows of feats as an array, l2-normalized unless they already have unit norm."""
+    f = feats.value if isinstance(feats, ad.Node) else ad.as_matrix(feats, name)
+    if not np.all(np.abs((f * f).sum(axis=-1) - 1.0) <= _UNIT_TOL):
+        f = ad.l2_normalize_rows(f).value
+    return f
+
+
+def pwp_target(feats, gamma: float, rows: slice | None = None) -> np.ndarray:
     """Thresholded feature-feature correspondence target (plain array, no gradient).
 
     Rows are l2-normalized first, unless they already have unit norm (the
@@ -120,37 +132,86 @@ def pwp_target(feats, gamma: float) -> np.ndarray:
     survivors are row-softmaxed at temperature 1. The diagonal always
     survives because every row has cosine 1 with itself, which is why
     gamma must stay below 1.
+
+    `rows` builds only that block of rows of each target, for a caller
+    that walks the target block by block (`pwp_loss`); such a caller
+    passes an array of unit rows, which is used as given, unchecked.
     """
     if not gamma < 1.0:
         raise ConfigError(
             f"pwp_target: gamma must be < 1 so self-similarity survives, got {gamma}"
         )
-    f = feats.value if isinstance(feats, ad.Node) else ad.as_matrix(feats, "pwp_target features")
-    if not np.all(np.abs((f * f).sum(axis=-1) - 1.0) <= _UNIT_TOL):
-        f = ad.l2_normalize_rows(f).value
-    # for a stack of N x N targets every step after the product works in place
-    logits = f @ np.swapaxes(f, -1, -2)
+    if rows is None:
+        f, rows = _unit_rows(feats, "pwp_target features"), slice(None)
+    else:
+        f = feats
+    start, stop, _ = rows.indices(f.shape[-2])
+    # every step after the product works in place on the block
+    cos = f[..., start:stop, :] @ np.swapaxes(f, -1, -2)
+    keep = cos > gamma
     # self-similarity is exactly 1 mathematically; keep the diagonal even
     # when rounding drops it a few ulps below a gamma chosen right at 1
-    diag = np.diagonal(logits, axis1=-2, axis2=-1).copy()
-    logits[logits <= gamma] = -np.inf
-    cells = np.arange(logits.shape[-1])
-    logits[..., cells, cells] = diag
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+    cells = np.arange(stop - start)
+    keep[..., cells, start + cells] = True
+    # cosines are at most 1, so exp needs no shift by the row max
+    np.exp(cos, out=cos)
+    cos *= keep
+    cos /= cos.sum(axis=-1, keepdims=True)
+    return cos
 
 
-def pwp_loss(m_sx, m_xs, target: np.ndarray) -> ad.Node:
+def pwp_loss(m_sx, m_xs, feats, gamma: float, target: np.ndarray | None = None) -> ad.Node:
     """Cross entropy of the parts->whole->parts round trip m_xs m_sx against the target.
 
-    The target carries no gradient. In training `total_loss` recomputes it
-    from the current feats_p (the supervisory signal tracks the projection
-    as it moves, step by step); finite-difference verification of a single
-    step holds it fixed instead.
+    The target is `pwp_target(feats, gamma)`, built `_BLOCK_ROWS` rows at a
+    time; with `target`, a fixed array of the round trip's shape, its rows
+    are read instead and feats and gamma are not used. The target carries
+    no gradient. In training `total_loss` recomputes it from the current
+    feats_p (the supervisory signal tracks the projection as it moves,
+    step by step); finite-difference verification of a single step holds
+    it fixed instead.
+
+    The same blocks of rows carry the whole computation: the round-trip
+    rows, their clamped cross entropy and, because the loss is a scalar,
+    both gradients, which the vjps only scale. So nothing of size N x N
+    per scene outlives one block. The value equals `cross_entropy_rows(
+    matmul(m_xs, m_sx), target)` up to the order of summation.
     """
-    return ad.cross_entropy_rows(ad.matmul(m_xs, m_sx), ad.constant(target))
+    m_sx, m_xs = ad._as_node(m_sx, "m_sx"), ad._as_node(m_xs, "m_xs")
+    sx, xs = m_sx.value, m_xs.value
+    n = sx.shape[-1]
+    if sx.shape[:-2] != xs.shape[:-2] or xs.shape[-2:] != (n, sx.shape[-2]):
+        raise ShapeError(f"pwp_loss: m_sx {sx.shape} and m_xs {xs.shape} are not one walk pair")
+    if target is None:
+        f = _unit_rows(feats, "pwp_loss features")
+        if f.shape[:-1] != xs.shape[:-1]:
+            raise ShapeError(f"pwp_loss: features {f.shape} do not fit m_xs {xs.shape}")
+    else:
+        target = ad.as_matrix(target, "pwp_loss target")
+        if target.shape != xs.shape[:-1] + (n,):
+            raise ShapeError(f"pwp_loss: target {target.shape} does not fit the round trip of {xs.shape}")
+    d_sx, d_xs = np.zeros_like(sx), np.empty_like(xs)
+    sx_t = np.swapaxes(sx, -1, -2)
+    total = 0.0
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        q = pwp_target(f, gamma, rows) if target is None else target[..., rows, :]
+        xs_r = xs[..., rows, :]
+        p = xs_r @ sx
+        pc = ad._clamped(p)
+        interior = (p > ad.LOG_CLAMP) & (pc < 1.0)
+        total += np.vdot(q, np.log(pc, out=p))
+        # d(sum q log pc) / dp is q / pc where the clamp is inactive, else 0
+        g = np.divide(q, pc, out=pc)
+        g *= interior
+        d_xs[..., rows, :] = g @ sx_t
+        d_sx += np.swapaxes(xs_r, -1, -2) @ g
+    out = np.array([[-total / n]])
+    return ad.Node(
+        out,
+        (m_sx, m_xs),
+        (lambda g: d_sx * (-g[0, 0] / n), lambda g: d_xs * (-g[0, 0] / n)),
+    )
 
 
 def total_loss(
@@ -175,6 +236,6 @@ def total_loss(
     if cfg.alpha > 0.0:
         terms.append(ad.mul(wpw_loss(m_sx, m_xs), cfg.alpha))
     if cfg.beta > 0.0:
-        target = pwp_target(feats_n, cfg.gamma) if pwp_frozen_target is None else pwp_frozen_target
-        terms.append(ad.mul(pwp_loss(m_sx, m_xs, target), cfg.beta))
+        pwp = pwp_loss(m_sx, m_xs, feats_n, cfg.gamma, target=pwp_frozen_target)
+        terms.append(ad.mul(pwp, cfg.beta))
     return functools.reduce(ad.add, terms)

@@ -1,4 +1,4 @@
-"""Property tests: autodiff ops against finite differences, and the two binary formats.
+"""Property tests: autodiff ops and the blocked pwp loss against finite differences, and the two binary formats.
 
 Every op is checked on plain matrices and on stacks with a leading batch
 axis of 1 to 3, including a 2-D parameter broadcast against a stack.
@@ -16,6 +16,7 @@ from slotwalks import autodiff as ad
 from slotwalks.data import Scene, read_feature_file, write_feature_file
 from slotwalks.errors import DataFormatError
 from slotwalks.train import OptimState, TrainConfig, _init_model, _named_parameters, load_checkpoint, save_checkpoint
+from slotwalks.walks import adjacency, pwp_loss
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -132,6 +133,23 @@ def test_cross_entropy_matches_finite_differences_in_both_arguments(lead, shared
 
     def make_loss(nodes):
         return ad.cross_entropy_rows(ad.softmax_rows(nodes["p"], 1.0), ad.softmax_rows(nodes["q"], 1.0))
+
+    assert _fd_worst(make_loss, params) <= GRAD_TOL
+
+
+@PROPERTY
+@given(lead=leads, n=st.integers(min_value=1, max_value=70), k=sizes, seed=seeds)
+def test_blocked_pwp_loss_matches_finite_differences(lead, n, k, seed):
+    # N from 1 to 70 puts the last row block anywhere from full to one row;
+    # the target comes from features that are not parameters, so the
+    # finite differences see it held fixed, as the graph does
+    rng = np.random.default_rng(seed)
+    params = {"s": rng.normal(size=lead + (k, 2)), "x": rng.normal(size=lead + (n, 2))}
+    target_feats = rng.normal(size=lead + (n, 2))
+
+    def make_loss(nodes):
+        m_sx, m_xs, _ = adjacency(nodes["s"], nodes["x"], 0.5)
+        return pwp_loss(m_sx, m_xs, target_feats, 0.3)
 
     assert _fd_worst(make_loss, params) <= GRAD_TOL
 

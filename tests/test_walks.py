@@ -1,11 +1,13 @@
 """Tests for adjacency construction and the two walk losses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from slotwalks import autodiff as ad
 from slotwalks import walks
-from slotwalks.errors import ConfigError, DegenerateInputError
+from slotwalks.errors import ConfigError, DegenerateInputError, ShapeError
 from slotwalks.gradcheck import full_model_errors
 from slotwalks.walks import WalkConfig, WalkProjection, adjacency, pwp_loss, pwp_target, total_loss, wpw_loss
 
@@ -192,13 +194,13 @@ class TestPwpTarget:
 class TestPwpLoss:
     def test_slots_equal_features_near_zero(self):
         x = np.eye(4, 4)
-        loss = pwp_loss(*adjacency(x, x, 0.05)[:2], pwp_target(x, 0.7)).value[0, 0]
+        loss = pwp_loss(*adjacency(x, x, 0.05), 0.7).value[0, 0]
         assert loss <= 1e-2
 
     def test_matches_product_then_ce_oracle(self):
         rng = np.random.default_rng(10)
         x, s = rng.normal(size=(7, 4)), rng.normal(size=(3, 4))
-        loss = pwp_loss(*adjacency(s, x, 0.1)[:2], pwp_target(x, 0.3)).value[0, 0]
+        loss = pwp_loss(*adjacency(s, x, 0.1), 0.3).value[0, 0]
         m = adjacency_oracle(x, s, 0.1) @ adjacency_oracle(s, x, 0.1)
         target = pwp_target_oracle(x, 0.3)
         expect = -(target * np.log(np.clip(m, 1e-12, 1.0))).sum() / 7
@@ -208,10 +210,104 @@ class TestPwpLoss:
         rng = np.random.default_rng(11)
         x, s = rng.normal(size=(5, 4)), rng.normal(size=(2, 4))
         frozen = np.full((5, 5), 0.2)
-        loss = pwp_loss(*adjacency(s, x, 0.1)[:2], frozen).value[0, 0]
+        loss = pwp_loss(*adjacency(s, x, 0.1), 0.7, target=frozen).value[0, 0]
         m = adjacency_oracle(x, s, 0.1) @ adjacency_oracle(s, x, 0.1)
         expect = -(frozen * np.log(np.clip(m, 1e-12, 1.0))).sum() / 5
         assert abs(loss - expect) <= 1e-9
+
+
+def dense_pwp_oracle(s, x, tau, gamma, frozen=None):
+    """The loss and both input gradients through the dense round trip."""
+    s, x = ad.leaf(s), ad.leaf(x)
+    m_sx, m_xs, feats_n = adjacency(s, x, tau)
+    target = pwp_target(feats_n, gamma) if frozen is None else frozen
+    loss = ad.cross_entropy_rows(ad.matmul(m_xs, m_sx), target)
+    ad.backward(loss)
+    return loss.value[0, 0], s.grad, x.grad
+
+
+class TestBlockedPwpLoss:
+    """pwp_loss walks the target in row blocks; it must equal the dense round trip."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_matches_dense_oracle(self, lead, n, frozen):
+        rng = np.random.default_rng(n + 7 * len(lead))
+        s0, x0 = rng.normal(size=lead + (4, 5)), rng.normal(size=lead + (n, 5))
+        target = pwp_target(rng.normal(size=lead + (n, 5)), 0.3) if frozen else None
+        expect, ds, dx = dense_pwp_oracle(s0, x0, 0.2, 0.3, target)
+        s, x = ad.leaf(s0), ad.leaf(x0)
+        loss = pwp_loss(*adjacency(s, x, 0.2), 0.3, target=target)
+        ad.backward(loss)
+        assert loss.value[0, 0] == pytest.approx(expect, rel=1e-12, abs=1e-300)
+        np.testing.assert_allclose(s.grad, ds, rtol=1e-9, atol=1e-12 * np.abs(ds).max())
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-9, atol=1e-12 * np.abs(dx).max())
+
+    def test_perfect_round_trip_scores_the_dense_value(self):
+        # one orthogonal slot per feature across two blocks: every round
+        # trip returns home with probability 1, which scores exactly 0
+        x = np.eye(40)
+        expect = dense_pwp_oracle(x, x, 0.01, 0.7)[0]
+        loss = pwp_loss(*adjacency(x, x, 0.01), 0.7).value[0, 0]
+        assert loss == expect == 0.0
+
+    def test_frozen_target_holds_the_features_out(self):
+        rng = np.random.default_rng(14)
+        x, s = rng.normal(size=(40, 4)), rng.normal(size=(3, 4))
+        frozen = pwp_target(rng.normal(size=(40, 4)), 0.5)
+        m_sx, m_xs, feats_n = adjacency(s, x, 0.1)
+        held = pwp_loss(m_sx, m_xs, feats_n, 0.5, target=frozen).value[0, 0]
+        other = pwp_loss(m_sx, m_xs, np.ones((40, 4)), 0.0, target=frozen).value[0, 0]
+        assert held == other != pwp_loss(m_sx, m_xs, feats_n, 0.5).value[0, 0]
+
+    def test_target_rows_checked_once_per_call(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        x, s = rng.normal(size=(2, 70, 4)), rng.normal(size=(2, 3, 4))
+        blocks, checks = [], []
+        target, unit = walks.pwp_target, walks._unit_rows
+
+        def counted_target(feats, gamma, rows=None):
+            blocks.append(rows)
+            return target(feats, gamma, rows)
+
+        def counted_unit(feats, name):
+            checks.append(name)
+            return unit(feats, name)
+
+        monkeypatch.setattr(walks, "pwp_target", counted_target)
+        monkeypatch.setattr(walks, "_unit_rows", counted_unit)
+        pwp_loss(*adjacency(s, x, 0.1), 0.3)
+        assert [(b.start, b.stop) for b in blocks] == [(0, 32), (32, 64), (64, 96)]
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize(
+        "m_xs, target",
+        [(np.full((5, 3), 1 / 3), None), (np.full((4, 2), 0.5), np.full((4, 5), 0.2))],
+    )
+    def test_mismatched_shapes_rejected(self, m_xs, target):
+        with pytest.raises(ShapeError):
+            pwp_loss(np.full((2, 4), 0.25), m_xs, np.ones((4, 3)), 0.3, target=target)
+
+    def test_non_finite_frozen_target_rejected(self):
+        frozen = np.full((4, 4), 0.25)
+        frozen[1, 2] = np.nan
+        with pytest.raises(DegenerateInputError):
+            pwp_loss(np.full((2, 4), 0.25), np.full((4, 2), 0.5), np.ones((4, 3)), 0.3, target=frozen)
+
+    def test_backward_keeps_no_stack_of_n_by_n_arrays(self):
+        # B=4, N=512: one B x N x N float64 array is 8.4 MB, and the
+        # dense round trip used to hold several at once
+        rng = np.random.default_rng(16)
+        s, x = ad.leaf(rng.normal(size=(4, 7, 16))), ad.leaf(rng.normal(size=(4, 512, 16)))
+        m_sx, m_xs, feats_n = adjacency(s, x, 0.1)
+        tracemalloc.start()
+        try:
+            ad.backward(pwp_loss(m_sx, m_xs, feats_n, 0.7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 512 * 512 * 8, peak
 
 
 class TestTotalLoss:
@@ -235,14 +331,14 @@ class TestTotalLoss:
     def test_beta_only_equals_pwp(self):
         cfg = WalkConfig(alpha=0.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
-        expect = pwp_loss(*adjacency(slots_p, feats_p, 0.1)[:2], pwp_target(feats_p, 0.7)).value[0, 0]
+        expect = pwp_loss(*adjacency(slots_p, feats_p, 0.1), 0.7).value[0, 0]
         assert total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0] == expect
 
     def test_both_terms_sum(self):
         cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
         wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)[:2]).value[0, 0]
-        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1)[:2], pwp_target(feats_p, 0.7)).value[0, 0]
+        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1), 0.7).value[0, 0]
         total = total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0]
         assert abs(total - (wpw + pwp)) <= 1e-12
 
@@ -283,7 +379,7 @@ class TestTotalLoss:
         cfg = WalkConfig(alpha=2.0, beta=0.5, tau=0.1, gamma=0.7, dim=4)
         feats_p, slots_p = self._projected()
         wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)[:2]).value[0, 0]
-        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1)[:2], pwp_target(feats_p, 0.7)).value[0, 0]
+        pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1), 0.7).value[0, 0]
         total = total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0]
         assert abs(total - (2.0 * wpw + 0.5 * pwp)) <= 1e-12
 
