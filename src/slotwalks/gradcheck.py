@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .slots import SlotParams, encode
-from .walks import WalkConfig, WalkProjection, pwp_target, total_loss
+from .walks import WalkConfig, WalkProjection, total_loss
 
 _SLOT_FIELDS = tuple(f.name for f in dataclasses.fields(SlotParams))
 _PROJ_FIELDS = tuple(f.name for f in dataclasses.fields(WalkProjection))
@@ -36,44 +36,37 @@ def full_model_errors(
     k: int,
     d: int,
     iterations: int = 2,
-    tau: float = 0.1,
-    gamma: float = 0.7,
-    alpha: float = 1.0,
-    beta: float = 1.0,
     seed: int = 0,
-    fd_step: float = 1e-5,
 ) -> dict[str, float]:
     """Max relative gradient error per parameter on a random instance.
 
     The instance uses width d everywhere (features, slots, attention,
-    walk space) and a fixed slot-noise seed so the loss is a
-    deterministic function of the parameters.
+    walk space), the default `WalkConfig` and a fixed slot-noise seed so
+    the loss is a deterministic function of the parameters.
     """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     params = SlotParams.create(k, input_dim=d, slot_dim=d, seed=seed + 1)
     proj = WalkProjection.create(input_dim=d, slot_dim=d, dim=d, seed=seed + 2)
-    cfg = WalkConfig(tau=tau, gamma=gamma, alpha=alpha, beta=beta, dim=d)
+    cfg = WalkConfig()
     slot_seed = (seed, 12345)
 
     base = dict(params.named())
     base.update(proj.named())
 
     # the parts-whole-parts target is a detached supervisory signal: the
-    # verified gradient is of the loss with the target held at the base
-    # point, exactly what the optimizer consumes at one step
-    frozen_target = None
-    if beta > 0.0:
-        frozen_target = pwp_target(ad.matmul(ad.constant(x), proj.p_x), gamma)
+    # verified gradient is of the loss with the target's feature rows held
+    # at the base point, exactly what the optimizer consumes at one step
+    frozen_feats = x @ proj.p_x
 
     def make_loss(nodes):
         p = SlotParams(**{f: nodes[f] for f in _SLOT_FIELDS})
         pr = WalkProjection(**{f: nodes[f] for f in _PROJ_FIELDS})
         x_node = ad.constant(x)
         slots_hat, _ = encode(x_node, p, iterations, mode="train", seed=slot_seed)
-        return total_loss(x_node, slots_hat, pr, cfg, pwp_frozen_target=frozen_target)
+        return total_loss(x_node, slots_hat, pr, cfg, pwp_frozen_feats=frozen_feats)
 
-    return ad.check_gradients(make_loss, base, step=fd_step)
+    return ad.check_gradients(make_loss, base, step=1e-5)
 
 
 def grouped_errors(errors: dict[str, float]) -> dict[str, float]:

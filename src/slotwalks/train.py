@@ -66,7 +66,7 @@ class TrainConfig:
                 raise ConfigError(f"TrainConfig: {f.name} must be finite, got {v}")
             if isinstance(v, int) and v < 0:
                 raise ConfigError(f"TrainConfig: {f.name} must be >= 0, got {v}")
-        for name in ("num_slots", "input_dim", "slot_dim", "total_steps", "batch_size",
+        for name in ("num_slots", "input_dim", "slot_dim", "walk_dim", "total_steps", "batch_size",
                      "decay_half_life_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"TrainConfig: {name} must be >= 1, got {getattr(self, name)}")
@@ -81,12 +81,10 @@ class TrainConfig:
             raise ConfigError(f"TrainConfig: clip_norm must be positive, got {self.clip_norm}")
         if self.base_lr < 0.0 or self.weight_decay < 0.0:
             raise ConfigError("TrainConfig: base_lr and weight_decay must be >= 0")
-        self.walk()  # validates tau / gamma / alpha / beta / walk_dim
+        self.walk()  # validates tau / gamma / alpha / beta
 
     def walk(self) -> WalkConfig:
-        return WalkConfig(
-            tau=self.tau, gamma=self.gamma, alpha=self.alpha, beta=self.beta, dim=self.walk_dim
-        )
+        return WalkConfig(tau=self.tau, gamma=self.gamma, alpha=self.alpha, beta=self.beta)
 
 
 # key -> int or float, the type its config line is parsed as

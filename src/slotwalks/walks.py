@@ -12,8 +12,8 @@ to be consistent:
   slots must cover everything the features consider similar.
 
 Both node sets are first mapped by trainable linear projections into a
-shared walk space of width `dim`. Every function here also takes a stack
-of scenes with equal N (B x K x dim slots, B x N x dim features) and then
+shared walk space of width W. Every function here also takes a stack
+of scenes with equal N (B x K x W slots, B x N x W features) and then
 returns one matrix per scene, or a loss summed over the scenes.
 """
 
@@ -45,7 +45,6 @@ class WalkConfig:
     gamma: float = 0.7
     alpha: float = 1.0
     beta: float = 1.0
-    dim: int = 128
 
     def __post_init__(self):
         if not self.tau > 0.0:
@@ -60,8 +59,6 @@ class WalkConfig:
             raise ConfigError(
                 f"WalkConfig: gamma must be -inf or inside (-1, 1), got {self.gamma}"
             )
-        if self.dim < 1:
-            raise ConfigError(f"WalkConfig: dim must be >= 1, got {self.dim}")
 
 
 @dataclass
@@ -100,18 +97,11 @@ def adjacency(slots_p, feats_p, tau: float) -> tuple[ad.Node, ad.Node, ad.Node]:
     return ad.softmax_rows(sims, tau), ad.softmax_rows(ad.transpose(sims), tau), feats_n
 
 
-def wpw_loss(m_sx, m_xs) -> ad.Node:
-    """Cross entropy of the whole->parts->whole round trip m_sx m_xs against the identity."""
-    round_trip = ad.matmul(m_sx, m_xs)
-    k = round_trip.value.shape[-1]
-    return ad.cross_entropy_rows(round_trip, ad.constant(np.eye(k)))
-
-
 # rounding leaves an l2-normalized row's squared norm this close to 1
 _UNIT_TOL = 1e-9
 
-# target rows per block of the parts->whole->parts loss: nothing of size
-# N x N is held at once, only one block of rows across the whole stack
+# rows per block of a round-trip loss: nothing of size N x N is held at
+# once, only one block of rows across the whole stack
 _BLOCK_ROWS = 32
 
 
@@ -160,58 +150,68 @@ def pwp_target(feats, gamma: float, rows: slice | None = None) -> np.ndarray:
     return cos
 
 
-def pwp_loss(m_sx, m_xs, feats, gamma: float, target: np.ndarray | None = None) -> ad.Node:
-    """Cross entropy of the parts->whole->parts round trip m_xs m_sx against the target.
+def _round_trip_loss(a: ad.Node, b: ad.Node, target_rows: Callable[[slice], np.ndarray]) -> ad.Node:
+    """Clamped cross entropy of the round trip a b against a target, one block of rows at a time.
 
-    The target is `pwp_target(feats, gamma)`, built `_BLOCK_ROWS` rows at a
-    time; with `target`, a fixed array of the round trip's shape, its rows
-    are read instead and feats and gamma are not used. The target carries
-    no gradient. In training `total_loss` recomputes it from the current
-    feats_p (the supervisory signal tracks the projection as it moves,
-    step by step); finite-difference verification of a single step holds
-    it fixed instead.
-
-    The same blocks of rows carry the whole computation: the round-trip
-    rows, their clamped cross entropy and, because the loss is a scalar,
-    both gradients, which the vjps only scale. So nothing of size N x N
-    per scene outlives one block. The value equals `cross_entropy_rows(
-    matmul(m_xs, m_sx), target)` up to the order of summation.
+    The loss is the mean over rows of -sum_j q_ij log (a b)_ij, summed over
+    a stack; `target_rows(rows)` returns that block of q's rows at the
+    block's full shape. The same blocks of `_BLOCK_ROWS` rows carry the
+    whole computation: the round-trip rows, their clamped cross entropy
+    (clamp and snap as in `autodiff.cross_entropy_rows`) and, because the
+    loss is a scalar, both gradients, which the vjps only scale. So
+    nothing of the round trip's size outlives one block. The value equals
+    `cross_entropy_rows(matmul(a, b), q)` up to the order of summation.
     """
-    m_sx, m_xs = ad._as_node(m_sx, "m_sx"), ad._as_node(m_xs, "m_xs")
-    sx, xs = m_sx.value, m_xs.value
-    n = sx.shape[-1]
-    if sx.shape[:-2] != xs.shape[:-2] or xs.shape[-2:] != (n, sx.shape[-2]):
-        raise ShapeError(f"pwp_loss: m_sx {sx.shape} and m_xs {xs.shape} are not one walk pair")
-    if target is None:
-        f = _unit_rows(feats, "pwp_loss features")
-        if f.shape[:-1] != xs.shape[:-1]:
-            raise ShapeError(f"pwp_loss: features {f.shape} do not fit m_xs {xs.shape}")
-    else:
-        target = ad.as_matrix(target, "pwp_loss target")
-        if target.shape != xs.shape[:-1] + (n,):
-            raise ShapeError(f"pwp_loss: target {target.shape} does not fit the round trip of {xs.shape}")
-    d_sx, d_xs = np.zeros_like(sx), np.empty_like(xs)
-    sx_t = np.swapaxes(sx, -1, -2)
+    av, bv = a.value, b.value
+    n = av.shape[-2]
+    if av.shape[:-2] != bv.shape[:-2] or bv.shape[-2:] != (av.shape[-1], n):
+        raise ShapeError(f"round trip of {av.shape} and {bv.shape}: not one walk pair")
+    d_a, d_b = np.empty_like(av), np.zeros_like(bv)
+    b_t = np.swapaxes(bv, -1, -2)
     total = 0.0
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        q = pwp_target(f, gamma, rows) if target is None else target[..., rows, :]
-        xs_r = xs[..., rows, :]
-        p = xs_r @ sx
+        q = target_rows(rows)
+        a_r = av[..., rows, :]
+        p = a_r @ bv
         pc = ad._clamped(p)
         interior = (p > ad.LOG_CLAMP) & (pc < 1.0)
         total += np.vdot(q, np.log(pc, out=p))
         # d(sum q log pc) / dp is q / pc where the clamp is inactive, else 0
         g = np.divide(q, pc, out=pc)
         g *= interior
-        d_xs[..., rows, :] = g @ sx_t
-        d_sx += np.swapaxes(xs_r, -1, -2) @ g
+        d_a[..., rows, :] = g @ b_t
+        d_b += np.swapaxes(a_r, -1, -2) @ g
     out = np.array([[-total / n]])
     return ad.Node(
         out,
-        (m_sx, m_xs),
-        (lambda g: d_sx * (-g[0, 0] / n), lambda g: d_xs * (-g[0, 0] / n)),
+        (a, b),
+        (lambda g: d_a * (-g[0, 0] / n), lambda g: d_b * (-g[0, 0] / n)),
     )
+
+
+def wpw_loss(m_sx, m_xs) -> ad.Node:
+    """Cross entropy of the whole->parts->whole round trip m_sx m_xs against the identity."""
+    m_sx, m_xs = ad._as_node(m_sx, "m_sx"), ad._as_node(m_xs, "m_xs")
+    lead, eye = m_sx.value.shape[:-2], np.eye(m_sx.value.shape[-2])
+    # the kernel reads target rows at the block's full shape; a broadcast view copies nothing
+    return _round_trip_loss(m_sx, m_xs, lambda rows: np.broadcast_to(eye[rows], lead + eye[rows].shape))
+
+
+def pwp_loss(m_sx, m_xs, feats, gamma: float) -> ad.Node:
+    """Cross entropy of the parts->whole->parts round trip m_xs m_sx against the target.
+
+    The target is `pwp_target(feats, gamma)`, built `_BLOCK_ROWS` rows at a
+    time, and carries no gradient. In training `total_loss` passes the
+    current unit feature rows (the supervisory signal tracks the
+    projection as it moves, step by step); finite-difference verification
+    of a single step passes feature rows held fixed instead.
+    """
+    m_sx, m_xs = ad._as_node(m_sx, "m_sx"), ad._as_node(m_xs, "m_xs")
+    f = _unit_rows(feats, "pwp_loss features")
+    if f.shape[:-1] != m_xs.value.shape[:-1]:
+        raise ShapeError(f"pwp_loss: features {f.shape} do not fit m_xs {m_xs.value.shape}")
+    return _round_trip_loss(m_xs, m_sx, lambda rows: pwp_target(f, gamma, rows))
 
 
 def total_loss(
@@ -219,14 +219,14 @@ def total_loss(
     slots_hat,
     proj: WalkProjection,
     cfg: WalkConfig,
-    pwp_frozen_target: np.ndarray | None = None,
+    pwp_frozen_feats: np.ndarray | None = None,
 ) -> ad.Node:
     """Weighted sum alpha * wpw + beta * pwp on projected inputs.
 
     Both round trips read the same two walk matrices, built once. A term
     whose coefficient is 0 is never evaluated, which is what the
     single-direction ablations rely on. The pwp target is computed from
-    the kernel's unit feature rows unless `pwp_frozen_target` is given.
+    the kernel's unit feature rows unless `pwp_frozen_feats` is given.
     For a stack of scenes the loss is the sum of the per-scene losses.
     """
     feats_p = ad.matmul(x, proj.p_x)
@@ -236,6 +236,7 @@ def total_loss(
     if cfg.alpha > 0.0:
         terms.append(ad.mul(wpw_loss(m_sx, m_xs), cfg.alpha))
     if cfg.beta > 0.0:
-        pwp = pwp_loss(m_sx, m_xs, feats_n, cfg.gamma, target=pwp_frozen_target)
+        feats = feats_n if pwp_frozen_feats is None else pwp_frozen_feats
+        pwp = pwp_loss(m_sx, m_xs, feats, cfg.gamma)
         terms.append(ad.mul(pwp, cfg.beta))
     return functools.reduce(ad.add, terms)

@@ -89,9 +89,7 @@ def ablation_scores(toy_run):
 
 def test_criterion_1_gradient_correctness():
     start = time.monotonic()
-    errors = full_model_errors(
-        12, 3, 8, iterations=2, tau=0.1, gamma=0.7, alpha=1.0, beta=1.0, seed=0
-    )
+    errors = full_model_errors(12, 3, 8, iterations=2, seed=0)
     elapsed = time.monotonic() - start
     grouped = grouped_errors(errors)
     assert set(grouped) == set(GROUP_ORDER)

@@ -21,7 +21,7 @@ from slotwalks.walks import WalkConfig, WalkProjection
 def toy_model(num_slots=2, input_dim=8, slot_dim=8, dim=8, seed=0):
     params = SlotParams.create(num_slots, input_dim=input_dim, slot_dim=slot_dim, seed=seed)
     proj = WalkProjection.create(input_dim=input_dim, slot_dim=slot_dim, dim=dim, seed=seed + 1)
-    cfg = WalkConfig(dim=dim)
+    cfg = WalkConfig()
     return params, proj, cfg
 
 

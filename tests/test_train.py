@@ -555,7 +555,7 @@ class TestConfigText:
             parse_config_text("num_slots = 3\ninput_dim = 8\ntau = 0.1\ntau = 0.5\n", source="cfg")
 
     @pytest.mark.parametrize(
-        "line", ["tau = inf", "base_lr = nan", "seed = -1", "slot_dim = -2", "slot_dim = 0"]
+        "line", ["tau = inf", "base_lr = nan", "seed = -1", "slot_dim = -2", "slot_dim = 0", "walk_dim = 0"]
     )
     def test_out_of_range_value_names_the_source(self, line):
         with pytest.raises(ConfigError, match=r"^cfg: TrainConfig: \w+ must be"):

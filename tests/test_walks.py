@@ -52,7 +52,6 @@ class TestWalkConfig:
             {"gamma": 1.0},
             {"gamma": 1.5},
             {"gamma": -2.0},
-            {"dim": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -208,26 +207,47 @@ class TestPwpLoss:
 
     def test_frozen_target_is_used(self):
         rng = np.random.default_rng(11)
-        x, s = rng.normal(size=(5, 4)), rng.normal(size=(2, 4))
-        frozen = np.full((5, 5), 0.2)
-        loss = pwp_loss(*adjacency(s, x, 0.1), 0.7, target=frozen).value[0, 0]
+        x, s, frozen = rng.normal(size=(5, 4)), rng.normal(size=(2, 4)), rng.normal(size=(5, 4))
+        m_sx, m_xs, _ = adjacency(s, x, 0.1)
+        loss = pwp_loss(m_sx, m_xs, frozen, 0.3).value[0, 0]
         m = adjacency_oracle(x, s, 0.1) @ adjacency_oracle(s, x, 0.1)
-        expect = -(frozen * np.log(np.clip(m, 1e-12, 1.0))).sum() / 5
+        expect = -(pwp_target_oracle(frozen, 0.3) * np.log(np.clip(m, 1e-12, 1.0))).sum() / 5
         assert abs(loss - expect) <= 1e-9
 
 
-def dense_pwp_oracle(s, x, tau, gamma, frozen=None):
-    """The loss and both input gradients through the dense round trip."""
+def dense_oracle(loss, s, x, tau, gamma, frozen=None):
+    """`loss` and both input gradients through the dense round trip and `cross_entropy_rows`.
+
+    wpw_loss's round trip m_sx m_xs is scored against eye(K), pwp_loss's
+    m_xs m_sx against the target of the unit features or of `frozen`.
+    """
     s, x = ad.leaf(s), ad.leaf(x)
     m_sx, m_xs, feats_n = adjacency(s, x, tau)
-    target = pwp_target(feats_n, gamma) if frozen is None else frozen
-    loss = ad.cross_entropy_rows(ad.matmul(m_xs, m_sx), target)
-    ad.backward(loss)
-    return loss.value[0, 0], s.grad, x.grad
+    if loss is wpw_loss:
+        out = ad.cross_entropy_rows(ad.matmul(m_sx, m_xs), np.eye(m_sx.shape[-2]))
+    else:
+        feats = feats_n if frozen is None else frozen
+        out = ad.cross_entropy_rows(ad.matmul(m_xs, m_sx), pwp_target(feats, gamma))
+    ad.backward(out)
+    return out.value[0, 0], s.grad, x.grad
+
+
+def assert_matches_dense_oracle(loss, s0, x0, tau, gamma, frozen=None):
+    expect, ds, dx = dense_oracle(loss, s0, x0, tau, gamma, frozen)
+    s, x = ad.leaf(s0), ad.leaf(x0)
+    m_sx, m_xs, feats_n = adjacency(s, x, tau)
+    if loss is wpw_loss:
+        out = wpw_loss(m_sx, m_xs)
+    else:
+        out = pwp_loss(m_sx, m_xs, feats_n if frozen is None else frozen, gamma)
+    ad.backward(out)
+    assert out.value[0, 0] == pytest.approx(expect, rel=1e-12, abs=1e-300)
+    np.testing.assert_allclose(s.grad, ds, rtol=1e-9, atol=1e-12 * np.abs(ds).max())
+    np.testing.assert_allclose(x.grad, dx, rtol=1e-9, atol=1e-12 * np.abs(dx).max())
 
 
 class TestBlockedPwpLoss:
-    """pwp_loss walks the target in row blocks; it must equal the dense round trip."""
+    """Both losses walk their round trip in row blocks; each must equal its dense round trip."""
 
     @pytest.mark.parametrize("lead", [(), (1,), (3,)])
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
@@ -235,31 +255,43 @@ class TestBlockedPwpLoss:
     def test_matches_dense_oracle(self, lead, n, frozen):
         rng = np.random.default_rng(n + 7 * len(lead))
         s0, x0 = rng.normal(size=lead + (4, 5)), rng.normal(size=lead + (n, 5))
-        target = pwp_target(rng.normal(size=lead + (n, 5)), 0.3) if frozen else None
-        expect, ds, dx = dense_pwp_oracle(s0, x0, 0.2, 0.3, target)
-        s, x = ad.leaf(s0), ad.leaf(x0)
-        loss = pwp_loss(*adjacency(s, x, 0.2), 0.3, target=target)
-        ad.backward(loss)
-        assert loss.value[0, 0] == pytest.approx(expect, rel=1e-12, abs=1e-300)
-        np.testing.assert_allclose(s.grad, ds, rtol=1e-9, atol=1e-12 * np.abs(ds).max())
-        np.testing.assert_allclose(x.grad, dx, rtol=1e-9, atol=1e-12 * np.abs(dx).max())
+        feats = rng.normal(size=lead + (n, 5)) if frozen else None
+        assert_matches_dense_oracle(pwp_loss, s0, x0, 0.2, 0.3, feats)
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    @pytest.mark.parametrize("k", [1, 3, 32, 33, 40])
+    def test_wpw_matches_dense_oracle(self, lead, k):
+        # K = 33 and 40 put wpw's K x K round trip across a block boundary
+        rng = np.random.default_rng(k + 7 * len(lead))
+        s0, x0 = rng.normal(size=lead + (k, 5)), rng.normal(size=lead + (20, 5))
+        assert_matches_dense_oracle(wpw_loss, s0, x0, 0.2, 0.3)
+
+    def test_each_loss_is_one_node_over_the_walk_pair(self):
+        rng = np.random.default_rng(17)
+        s, x = ad.leaf(rng.normal(size=(3, 4))), ad.leaf(rng.normal(size=(9, 4)))
+        m_sx, m_xs, feats_n = adjacency(s, x, 0.1)
+        assert wpw_loss(m_sx, m_xs)._parents == (m_sx, m_xs)
+        assert set(map(id, pwp_loss(m_sx, m_xs, feats_n, 0.7)._parents)) == {id(m_sx), id(m_xs)}
 
     def test_perfect_round_trip_scores_the_dense_value(self):
         # one orthogonal slot per feature across two blocks: every round
         # trip returns home with probability 1, which scores exactly 0
         x = np.eye(40)
-        expect = dense_pwp_oracle(x, x, 0.01, 0.7)[0]
+        expect = dense_oracle(pwp_loss, x, x, 0.01, 0.7)[0]
         loss = pwp_loss(*adjacency(x, x, 0.01), 0.7).value[0, 0]
         assert loss == expect == 0.0
 
     def test_frozen_target_holds_the_features_out(self):
+        # with frozen feature rows, total_loss builds the pwp target from
+        # them, not from the projected features of the current step
         rng = np.random.default_rng(14)
-        x, s = rng.normal(size=(40, 4)), rng.normal(size=(3, 4))
-        frozen = pwp_target(rng.normal(size=(40, 4)), 0.5)
-        m_sx, m_xs, feats_n = adjacency(s, x, 0.1)
-        held = pwp_loss(m_sx, m_xs, feats_n, 0.5, target=frozen).value[0, 0]
-        other = pwp_loss(m_sx, m_xs, np.ones((40, 4)), 0.0, target=frozen).value[0, 0]
-        assert held == other != pwp_loss(m_sx, m_xs, feats_n, 0.5).value[0, 0]
+        x, s_hat, frozen = rng.normal(size=(40, 6)), rng.normal(size=(3, 5)), rng.normal(size=(40, 4))
+        proj = WalkProjection.create(input_dim=6, slot_dim=5, dim=4, seed=13)
+        cfg = WalkConfig(alpha=0.0, beta=1.0, gamma=0.5)
+        held = total_loss(x, s_hat, proj, cfg, pwp_frozen_feats=frozen).value[0, 0]
+        m_sx, m_xs, feats_n = adjacency(ad.matmul(s_hat, proj.p_s), ad.matmul(x, proj.p_x), 0.1)
+        assert held == pwp_loss(m_sx, m_xs, frozen, 0.5).value[0, 0]
+        assert held != pwp_loss(m_sx, m_xs, feats_n, 0.5).value[0, 0]
 
     def test_target_rows_checked_once_per_call(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -282,18 +314,23 @@ class TestBlockedPwpLoss:
         assert len(checks) == 1
 
     @pytest.mark.parametrize(
-        "m_xs, target",
-        [(np.full((5, 3), 1 / 3), None), (np.full((4, 2), 0.5), np.full((4, 5), 0.2))],
+        "m_xs, feats",
+        [(np.full((5, 3), 1 / 3), np.ones((5, 3))), (np.full((4, 2), 0.5), np.ones((5, 3)))],
     )
-    def test_mismatched_shapes_rejected(self, m_xs, target):
+    def test_mismatched_shapes_rejected(self, m_xs, feats):
         with pytest.raises(ShapeError):
-            pwp_loss(np.full((2, 4), 0.25), m_xs, np.ones((4, 3)), 0.3, target=target)
+            pwp_loss(np.full((2, 4), 0.25), m_xs, feats, 0.3)
+
+    def test_unpaired_wpw_rejected(self):
+        with pytest.raises(ShapeError):
+            wpw_loss(np.full((2, 4), 0.25), np.full((5, 3), 1 / 3))
 
     def test_non_finite_frozen_target_rejected(self):
-        frozen = np.full((4, 4), 0.25)
+        # the frozen target's feature rows are checked where they come in
+        frozen = np.ones((4, 3))
         frozen[1, 2] = np.nan
         with pytest.raises(DegenerateInputError):
-            pwp_loss(np.full((2, 4), 0.25), np.full((4, 2), 0.5), np.ones((4, 3)), 0.3, target=frozen)
+            pwp_loss(np.full((2, 4), 0.25), np.full((4, 2), 0.5), frozen, 0.3)
 
     def test_backward_keeps_no_stack_of_n_by_n_arrays(self):
         # B=4, N=512: one B x N x N float64 array is 8.4 MB, and the
@@ -323,19 +360,19 @@ class TestTotalLoss:
         return feats_p, slots_p
 
     def test_alpha_only_equals_wpw(self):
-        cfg = WalkConfig(alpha=1.0, beta=0.0, tau=0.1, gamma=0.7, dim=4)
+        cfg = WalkConfig(alpha=1.0, beta=0.0, tau=0.1, gamma=0.7)
         feats_p, slots_p = self._projected()
         expect = wpw_loss(*adjacency(slots_p, feats_p, 0.1)[:2]).value[0, 0]
         assert total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0] == expect
 
     def test_beta_only_equals_pwp(self):
-        cfg = WalkConfig(alpha=0.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
+        cfg = WalkConfig(alpha=0.0, beta=1.0, tau=0.1, gamma=0.7)
         feats_p, slots_p = self._projected()
         expect = pwp_loss(*adjacency(slots_p, feats_p, 0.1), 0.7).value[0, 0]
         assert total_loss(self.x, self.s_hat, self.proj, cfg).value[0, 0] == expect
 
     def test_both_terms_sum(self):
-        cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
+        cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7)
         feats_p, slots_p = self._projected()
         wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)[:2]).value[0, 0]
         pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1), 0.7).value[0, 0]
@@ -347,7 +384,7 @@ class TestTotalLoss:
             raise AssertionError("pwp path evaluated despite beta == 0")
 
         monkeypatch.setattr(walks, "pwp_loss", boom)
-        cfg = WalkConfig(alpha=1.0, beta=0.0, tau=0.1, gamma=0.7, dim=4)
+        cfg = WalkConfig(alpha=1.0, beta=0.0, tau=0.1, gamma=0.7)
         total_loss(self.x, self.s_hat, self.proj, cfg)
 
     def test_total_loss_calls_kernel_once(self, monkeypatch):
@@ -358,7 +395,7 @@ class TestTotalLoss:
             return adjacency(*args)
 
         monkeypatch.setattr(walks, "adjacency", counted)
-        cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
+        cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7)
         total_loss(self.x, self.s_hat, self.proj, cfg)
         assert len(calls) == 1
 
@@ -371,12 +408,12 @@ class TestTotalLoss:
             return normalize(m)
 
         monkeypatch.setattr(ad, "l2_normalize_rows", counted)
-        cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7, dim=4)
+        cfg = WalkConfig(alpha=1.0, beta=1.0, tau=0.1, gamma=0.7)
         total_loss(self.x, self.s_hat, self.proj, cfg)
         assert len(calls) == 2  # the slots and the features, each once
 
     def test_coefficients_scale_terms(self):
-        cfg = WalkConfig(alpha=2.0, beta=0.5, tau=0.1, gamma=0.7, dim=4)
+        cfg = WalkConfig(alpha=2.0, beta=0.5, tau=0.1, gamma=0.7)
         feats_p, slots_p = self._projected()
         wpw = wpw_loss(*adjacency(slots_p, feats_p, 0.1)[:2]).value[0, 0]
         pwp = pwp_loss(*adjacency(slots_p, feats_p, 0.1), 0.7).value[0, 0]
