@@ -108,13 +108,15 @@ _BLOCK_ROWS = 32
 def _unit_rows(feats, name: str) -> np.ndarray:
     """The rows of feats as an array, l2-normalized unless they already have unit norm."""
     f = feats.value if isinstance(feats, ad.Node) else ad.as_matrix(feats, name)
-    if not np.all(np.abs((f * f).sum(axis=-1) - 1.0) <= _UNIT_TOL):
+    if not np.all(np.abs(np.einsum("...i,...i->...", f, f) - 1.0) <= _UNIT_TOL):
         f = ad.l2_normalize_rows(f).value
     return f
 
 
-def pwp_target(feats, gamma: float, rows: slice | None = None) -> np.ndarray:
-    """Thresholded feature-feature correspondence target (plain array, no gradient).
+def pwp_target(
+    feats, gamma: float, rows: slice | None = None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Thresholded feature-feature correspondence target (plain arrays, no gradient).
 
     Rows are l2-normalized first, unless they already have unit norm (the
     third output of `adjacency`), so f f^T are the pairwise cosine
@@ -125,42 +127,63 @@ def pwp_target(feats, gamma: float, rows: slice | None = None) -> np.ndarray:
 
     `rows` builds only that block of rows of each target, for a caller
     that walks the target block by block (`pwp_loss`); such a caller
-    passes an array of unit rows, which is used as given, unchecked.
+    passes an array of unit rows, which is used as given, unchecked. The
+    block comes back sparse, as `(cells, q)`: the flat indices of its
+    surviving entries within the block's full `(..., rows, N)` shape, in
+    row order, and their probabilities. Every other entry is exactly 0.
+    Without `rows` the result is the dense target, those cells scattered
+    into zeros.
     """
     if not gamma < 1.0:
         raise ConfigError(
             f"pwp_target: gamma must be < 1 so self-similarity survives, got {gamma}"
         )
-    if rows is None:
+    dense = rows is None
+    if dense:
         f, rows = _unit_rows(feats, "pwp_target features"), slice(None)
     else:
         f = feats
-    start, stop, _ = rows.indices(f.shape[-2])
-    # every step after the product works in place on the block
+    n = f.shape[-2]
+    start, stop, _ = rows.indices(n)
     cos = f[..., start:stop, :] @ np.swapaxes(f, -1, -2)
     keep = cos > gamma
     # self-similarity is exactly 1 mathematically; keep the diagonal even
     # when rounding drops it a few ulps below a gamma chosen right at 1
-    cells = np.arange(stop - start)
-    keep[..., cells, start + cells] = True
+    diag = np.arange(stop - start)
+    keep[..., diag, start + diag] = True
+    cells = np.flatnonzero(keep)
     # cosines are at most 1, so exp needs no shift by the row max
-    np.exp(cos, out=cos)
-    cos *= keep
-    cos /= cos.sum(axis=-1, keepdims=True)
-    return cos
+    q = np.exp(cos.reshape(-1)[cells])
+    # cells run in row order and every row holds its diagonal, so row i's
+    # run is nonempty and lies between the first cells at or past flat
+    # indices i N and (i + 1) N
+    bounds = np.searchsorted(cells, np.arange(0, cos.size + 1, n))
+    q /= np.repeat(np.add.reduceat(q, bounds[:-1]), bounds[1:] - bounds[:-1])
+    if not dense:
+        return cells, q
+    out = np.zeros_like(cos)
+    out.reshape(-1)[cells] = q
+    return out
 
 
-def _round_trip_loss(a: ad.Node, b: ad.Node, target_rows: Callable[[slice], np.ndarray]) -> ad.Node:
+def _round_trip_loss(
+    a: ad.Node, b: ad.Node, target_rows: Callable[[slice], tuple[np.ndarray, np.ndarray]]
+) -> ad.Node:
     """Clamped cross entropy of the round trip a b against a target, one block of rows at a time.
 
     The loss is the mean over rows of -sum_j q_ij log (a b)_ij, summed over
-    a stack; `target_rows(rows)` returns that block of q's rows at the
-    block's full shape. The same blocks of `_BLOCK_ROWS` rows carry the
-    whole computation: the round-trip rows, their clamped cross entropy
-    (clamp and snap as in `autodiff.cross_entropy_rows`) and, because the
-    loss is a scalar, both gradients, which the vjps only scale. So
-    nothing of the round trip's size outlives one block. The value equals
-    `cross_entropy_rows(matmul(a, b), q)` up to the order of summation.
+    a stack; `target_rows(rows)` returns that block of q sparse, as
+    `(cells, q)`: the flat indices of its nonzero entries within the
+    block's full `(..., rows, N)` shape and their values. The same blocks
+    of `_BLOCK_ROWS` rows carry the whole computation: the round-trip
+    rows, then, on the target's cells only, their clamped cross entropy
+    (clamp and snap as in `autodiff.cross_entropy_rows`) and the gradient
+    with respect to them, which is scattered back to the block's shape
+    for both input gradients. The loss is a scalar, so the vjps only
+    scale those gradients, and nothing of the round trip's size outlives
+    one block. The value equals `cross_entropy_rows(matmul(a, b), q)` up
+    to the order of summation: an entry where q is 0 adds nothing to the
+    loss or to either gradient.
     """
     av, bv = a.value, b.value
     n = av.shape[-2]
@@ -171,17 +194,23 @@ def _round_trip_loss(a: ad.Node, b: ad.Node, target_rows: Callable[[slice], np.n
     total = 0.0
     for start in range(0, n, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        q = target_rows(rows)
+        cells, q = target_rows(rows)
         a_r = av[..., rows, :]
         p = a_r @ bv
-        pc = ad._clamped(p)
-        interior = (p > ad.LOG_CLAMP) & (pc < 1.0)
-        total += np.vdot(q, np.log(pc, out=p))
+        # a fresh product is contiguous, so flat is a view of p
+        flat = p.reshape(-1)
+        pq = flat[cells]
+        pc = ad._clamped(pq)
+        interior = (pq > ad.LOG_CLAMP) & (pc < 1.0)
+        total += np.dot(q, np.log(pc, out=pq))
         # d(sum q log pc) / dp is q / pc where the clamp is inactive, else 0
         g = np.divide(q, pc, out=pc)
         g *= interior
-        d_a[..., rows, :] = g @ b_t
-        d_b += np.swapaxes(a_r, -1, -2) @ g
+        # p's buffer now holds G: g at the target's cells, 0 elsewhere
+        flat.fill(0.0)
+        flat[cells] = g
+        d_a[..., rows, :] = p @ b_t
+        d_b += np.swapaxes(a_r, -1, -2) @ p
     out = np.array([[-total / n]])
     return ad.Node(
         out,
@@ -193,9 +222,18 @@ def _round_trip_loss(a: ad.Node, b: ad.Node, target_rows: Callable[[slice], np.n
 def wpw_loss(m_sx, m_xs) -> ad.Node:
     """Cross entropy of the whole->parts->whole round trip m_sx m_xs against the identity."""
     m_sx, m_xs = ad._as_node(m_sx, "m_sx"), ad._as_node(m_xs, "m_xs")
-    lead, eye = m_sx.value.shape[:-2], np.eye(m_sx.value.shape[-2])
-    # the kernel reads target rows at the block's full shape; a broadcast view copies nothing
-    return _round_trip_loss(m_sx, m_xs, lambda rows: np.broadcast_to(eye[rows], lead + eye[rows].shape))
+    k = m_sx.value.shape[-2]
+    stack = math.prod(m_sx.value.shape[:-2])
+
+    def diagonal(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        start, stop, _ = rows.indices(k)
+        block = np.arange(stop - start)
+        # row i of the block, in every scene, keeps only column start + i
+        stacked_rows = np.arange(stack)[:, None] * block.size + block
+        cells = (stacked_rows * k + start + block).ravel()
+        return cells, np.ones(cells.size)
+
+    return _round_trip_loss(m_sx, m_xs, diagonal)
 
 
 def pwp_loss(m_sx, m_xs, feats, gamma: float) -> ad.Node:

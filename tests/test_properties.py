@@ -143,14 +143,15 @@ def test_cross_entropy_matches_finite_differences_in_both_arguments(lead, shared
     lead=leads,
     n=st.integers(min_value=1, max_value=70),
     k=sizes,
+    gamma=st.sampled_from([float("-inf"), 0.3, 0.95]),
     seed=seeds,
 )
-def test_blocked_pwp_loss_matches_finite_differences(loss, lead, n, k, seed):
+def test_blocked_pwp_loss_matches_finite_differences(loss, lead, n, k, gamma, seed):
     # the round trip has N rows, from 1 to 70, which puts the last row
     # block anywhere from full to one row: wpw's rows are the slots, pwp's
     # the features. pwp's target comes from features that are not
     # parameters, so the finite differences see it held fixed, as the
-    # graph does
+    # graph does; gamma runs from every cell kept to few beside the diagonal
     rng = np.random.default_rng(seed)
     slots, feats = (n, k) if loss == "wpw" else (k, n)
     params = {"s": rng.normal(size=lead + (slots, 2)), "x": rng.normal(size=lead + (feats, 2))}
@@ -160,7 +161,7 @@ def test_blocked_pwp_loss_matches_finite_differences(loss, lead, n, k, seed):
         m_sx, m_xs, _ = adjacency(nodes["s"], nodes["x"], 0.5)
         if loss == "wpw":
             return wpw_loss(m_sx, m_xs)
-        return pwp_loss(m_sx, m_xs, target_feats, 0.3)
+        return pwp_loss(m_sx, m_xs, target_feats, gamma)
 
     assert _fd_worst(make_loss, params) <= GRAD_TOL
 

@@ -181,6 +181,20 @@ class TestPwpTarget:
         for i in range(3):
             assert np.array_equal(stacked[i], pwp_target(x[i], 0.3))
 
+    @pytest.mark.parametrize("gamma", [0.3, float("-inf"), 0.999])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    @pytest.mark.parametrize("n", [1, 31, 33, 100])
+    def test_row_block_names_the_dense_nonzero_cells(self, gamma, lead, n):
+        rng = np.random.default_rng(n + 7 * len(lead))
+        x = rng.normal(size=lead + (n, 5))
+        unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        dense = pwp_target(unit, gamma)
+        for start in range(0, n, walks._BLOCK_ROWS):
+            block = dense[..., start:start + walks._BLOCK_ROWS, :]
+            cells, q = pwp_target(unit, gamma, slice(start, start + walks._BLOCK_ROWS))
+            assert np.array_equal(cells, np.flatnonzero(block))
+            np.testing.assert_allclose(q, block.reshape(-1)[cells], rtol=1e-15, atol=0)
+
     def test_rows_stochastic_and_diagonal_survives(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
@@ -256,7 +270,10 @@ class TestBlockedPwpLoss:
         rng = np.random.default_rng(n + 7 * len(lead))
         s0, x0 = rng.normal(size=lead + (4, 5)), rng.normal(size=lead + (n, 5))
         feats = rng.normal(size=lead + (n, 5)) if frozen else None
-        assert_matches_dense_oracle(pwp_loss, s0, x0, 0.2, 0.3, feats)
+        # no threshold keeps every cell, the densest target; the largest
+        # float below 1 keeps only cosines of exactly 1, the diagonal
+        for gamma in (0.3, float("-inf"), np.nextafter(1.0, 0.0)):
+            assert_matches_dense_oracle(pwp_loss, s0, x0, 0.2, gamma, feats)
 
     @pytest.mark.parametrize("lead", [(), (1,), (3,)])
     @pytest.mark.parametrize("k", [1, 3, 32, 33, 40])
