@@ -438,13 +438,3 @@ def check_gradients(
         out[name] = float(np.max(np.abs(a - b) / denom))
     return out
 
-
-def max_group_errors(
-    errors: Mapping[str, float], groups: Mapping[str, str]
-) -> dict[str, float]:
-    """Collapse per-parameter errors to a max per named group."""
-    out: dict[str, float] = {}
-    for name, err in errors.items():
-        group = groups.get(name, name)
-        out[group] = max(out.get(group, 0.0), err)
-    return out

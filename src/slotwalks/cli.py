@@ -20,7 +20,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from .data import SceneConfig, generate_scene, load_dataset, write_feature_file
+from .data import SceneConfig, generate_scene, load_dataset, write_bytes_atomic, write_feature_file
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -155,7 +155,7 @@ def _cmd_eval(args) -> int:
         )
     text = report.to_text()
     if args.report:
-        Path(args.report).write_text(text)
+        write_bytes_atomic(args.report, text.encode())
         print(f"report written to {args.report}")
     else:
         sys.stdout.write(text)

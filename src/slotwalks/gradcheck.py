@@ -70,6 +70,9 @@ def full_model_errors(
 
 
 def grouped_errors(errors: dict[str, float]) -> dict[str, float]:
-    """Collapse per-parameter errors into the reporting groups, in order."""
-    grouped = ad.max_group_errors(errors, PARAM_GROUPS)
+    """Collapse per-parameter errors to their maximum per reporting group, in order."""
+    grouped: dict[str, float] = {}
+    for name, err in errors.items():
+        group = PARAM_GROUPS.get(name, name)
+        grouped[group] = max(grouped.get(group, 0.0), err)
     return {g: grouped[g] for g in GROUP_ORDER if g in grouped}

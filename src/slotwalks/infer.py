@@ -11,13 +11,12 @@ chunks of bounded size).
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import Scene, group_by_cells
+from .data import Scene, group_by_cells, write_bytes_atomic
 from .errors import ConfigError, DataFormatError, ShapeError, UndefinedMetricError
 from .metrics import EvalReport, ari_fg, assign_classes, dice, kmeans, miou
 from .slots import SlotParams, encode
@@ -238,4 +237,4 @@ def write_mask_pgm(labels, height: int, width: int, path, num_labels: int | None
     if values.max() > 255:
         raise DataFormatError("write_mask_pgm: scaled label overflows 8-bit range")
     header = f"P5\n{width} {height}\n255\n".encode()
-    Path(path).write_bytes(header + values.astype(np.uint8).tobytes())
+    write_bytes_atomic(path, header + values.astype(np.uint8).tobytes())

@@ -26,12 +26,21 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Scene, group_by_cells, write_bytes_atomic
-from .errors import CompatibilityError, ConfigError, DataFormatError, TrainingDivergenceError
+from .errors import CompatibilityError, ConfigError, DataFormatError, ShapeError, TrainingDivergenceError
 from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, total_loss
 
 CHECKPOINT_MAGIC = b"OCWC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# a checkpoint starts: magic, version, sha256 of every byte after it
+_CHECKPOINT_PREFIX = struct.Struct("<4sI32s")
+# then: step, Adam step, config-text length; the config text; the arrays
+_CHECKPOINT_SCALARS = struct.Struct("<QQI")
+
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -134,10 +143,6 @@ def parse_config_text(text: str, source: str = "config") -> TrainConfig:
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def config_hash(cfg: TrainConfig) -> bytes:
-    return hashlib.sha256(format_config(cfg).encode()).digest()
-
-
 def lr_at(step: int, cfg: TrainConfig) -> float:
     """Linear warmup to base_lr, then exponential half-life decay."""
     if step < 0:
@@ -171,9 +176,6 @@ class OptimState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "OptimState":
@@ -192,17 +194,17 @@ def adamw_step(
 ) -> None:
     """Bias-corrected Adam update with decay applied directly to the weights."""
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= lr * (update + weight_decay * p)
 
 
@@ -282,15 +284,17 @@ def _loss_and_grads(
 
 
 def _open_trace(path: Path, start_step: int):
-    """Open the trace for writing, keeping only its lines for steps before start_step."""
+    """Open the trace for appending, once it holds only its lines for steps before start_step.
+
+    The kept lines replace the trace atomically, so a failed write leaves it as it was.
+    """
     lines = path.read_text().splitlines(keepends=True) if start_step > 0 and path.exists() else []
     try:
         kept = [line for line in lines if int(line.split("\t", 1)[0]) < start_step]
     except ValueError:
         raise DataFormatError(f"{path}: a line does not start with a step number") from None
-    trace = open(path, "w")
-    trace.writelines(kept)
-    return trace
+    write_bytes_atomic(path, "".join(kept).encode())
+    return open(path, "a")
 
 
 def train(
@@ -305,7 +309,7 @@ def train(
     out_dir/trace.txt (a resume keeps the lines of earlier steps, a fresh
     run none), out_dir/checkpoint.ocwc at the end, and numbered checkpoints
     every checkpoint_interval steps. `resume` may name a checkpoint whose
-    config hash must match cfg.
+    config must equal cfg.
     """
     if not scenes:
         raise ConfigError("train: dataset is empty")
@@ -323,7 +327,7 @@ def train(
 
     if resume is not None:
         ckpt = load_checkpoint(resume)
-        if config_hash(ckpt.config) != config_hash(cfg):
+        if ckpt.config != cfg:
             raise CompatibilityError(
                 "train: resume checkpoint was produced with a different configuration"
             )
@@ -386,128 +390,75 @@ class Checkpoint:
     config: TrainConfig
 
 
-def _pack_blob(name: str, arr: np.ndarray) -> bytes:
-    nb = name.encode()
-    return (
-        struct.pack("<I", len(nb))
-        + nb
-        + struct.pack("<II", arr.shape[0], arr.shape[1])
-        + arr.astype("<f8").tobytes()
-    )
+def _array_layout(cfg: TrainConfig) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(prefix, parameter name, shape) of each checkpoint array, in file order.
 
-
-def _decode(data: bytes, source: str, what: str) -> str:
-    try:
-        return data.decode()
-    except UnicodeDecodeError:
-        raise DataFormatError(f"{source}: {what} is not valid UTF-8") from None
-
-
-class _Reader:
-    def __init__(self, raw: bytes, source: str):
-        self.raw = raw
-        self.pos = 0
-        self.source = source
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise DataFormatError(f"{self.source}: truncated at byte {self.pos}")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def blob(self) -> tuple[str, np.ndarray]:
-        (nlen,) = self.unpack("<I")
-        name = _decode(self.take(nlen), self.source, "a blob name")
-        rows, cols = self.unpack("<II")
-        data = np.frombuffer(self.take(8 * rows * cols), dtype="<f8")
-        if not np.isfinite(data).all():
-            raise DataFormatError(f"{self.source}: blob {name!r} has a non-finite entry")
-        return name, data.reshape(rows, cols).copy()
+    Every parameter in _named_parameters order (prefix ""), then every
+    first moment ("m."), then every second moment ("v."), each of the
+    shape _init_model(cfg) gives.
+    """
+    shapes = {k: a.shape for k, a in _named_parameters(*_init_model(cfg)).items()}
+    return [(prefix, name, shape) for prefix in ("", "m.", "v.") for name, shape in shapes.items()]
 
 
 def save_checkpoint(path, params: SlotParams, proj: WalkProjection, opt: OptimState, step: int, cfg: TrainConfig) -> None:
-    """Binary checkpoint: magic, version, config hash + text, parameters, optimizer, step."""
-    named = _named_parameters(params, proj)
+    """Binary checkpoint: a fixed header, the config text, then headerless float64 arrays.
+
+    Raises ShapeError, writing nothing, when an array's shape is not the one cfg gives.
+    """
+    tables = {"": _named_parameters(params, proj), "m.": opt.m, "v.": opt.v}
     cfg_text = format_config(cfg).encode()
-    out = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", CHECKPOINT_VERSION),
-        config_hash(cfg),
-        struct.pack("<Q", step),
-        struct.pack("<I", len(cfg_text)),
-        cfg_text,
-        struct.pack("<I", len(named)),
-    ]
-    for name, arr in named.items():
-        out.append(_pack_blob(name, arr))
-    out.append(struct.pack("<Qddd", opt.step, opt.beta1, opt.beta2, opt.eps))
-    for prefix, table in (("m", opt.m), ("v", opt.v)):
-        for name in named:
-            out.append(_pack_blob(f"{prefix}.{name}", table[name]))
-    write_bytes_atomic(path, b"".join(out))
+    arrays = []
+    for prefix, name, shape in _array_layout(cfg):
+        arr = tables[prefix][name]
+        if arr.shape != shape:
+            raise ShapeError(
+                f"{path}: blob {prefix + name!r} has shape {arr.shape}, the config gives {shape}"
+            )
+        arrays.append(arr.astype("<f8").tobytes())
+    payload = _CHECKPOINT_SCALARS.pack(step, opt.step, len(cfg_text)) + cfg_text + b"".join(arrays)
+    digest = hashlib.sha256(payload).digest()
+    write_bytes_atomic(path, _CHECKPOINT_PREFIX.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest) + payload)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any damage, including a single changed byte, raises DataFormatError."""
     raw = Path(path).read_bytes()
-    r = _Reader(raw, str(path))
-    if r.take(4) != CHECKPOINT_MAGIC:
+    if raw[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic")
-    (version,) = r.unpack("<I")
+    start = _CHECKPOINT_PREFIX.size + _CHECKPOINT_SCALARS.size
+    if len(raw) < start:
+        raise DataFormatError(f"{path}: truncated at byte {len(raw)}, the header has {start}")
+    _, version, digest = _CHECKPOINT_PREFIX.unpack_from(raw)
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
-    stored_hash = r.take(32)
-    (step,) = r.unpack("<Q")
-    (cfg_len,) = r.unpack("<I")
-    cfg_bytes = r.take(cfg_len)
-    if hashlib.sha256(cfg_bytes).digest() != stored_hash:
-        raise CompatibilityError(f"{path}: config hash does not match embedded config")
-    cfg_text = _decode(cfg_bytes, str(path), "the embedded config")
+    if hashlib.sha256(memoryview(raw)[_CHECKPOINT_PREFIX.size :]).digest() != digest:
+        raise DataFormatError(f"{path}: sha256 checksum does not match the file's contents")
+    step, opt_step, cfg_len = _CHECKPOINT_SCALARS.unpack_from(raw, _CHECKPOINT_PREFIX.size)
+    try:
+        cfg_text = raw[start : start + cfg_len].decode()
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: the embedded config is not valid UTF-8") from None
     cfg = parse_config_text(cfg_text, source=f"{path} embedded config")
-    shapes = {k: a.shape for k, a in _named_parameters(*_init_model(cfg)).items()}
-    (n_params,) = r.unpack("<I")
-    if n_params != len(shapes):
-        raise DataFormatError(
-            f"{path}: {n_params} parameter blobs, the embedded config has {len(shapes)}"
-        )
+    layout = _array_layout(cfg)
+    start += cfg_len
+    expected = start + 8 * sum(math.prod(shape) for _, _, shape in layout)
+    if len(raw) != expected:
+        raise DataFormatError(f"{path}: {len(raw)} bytes, the embedded config gives {expected}")
 
-    def take(table: dict[str, np.ndarray], name: str, key: str, arr: np.ndarray) -> None:
-        # with n_params == len(shapes), distinct known keys cover every parameter
-        if key not in shapes or key in table:
-            raise DataFormatError(f"{path}: blob {name!r} is not a parameter or repeats one")
-        if arr.shape != shapes[key]:
-            raise DataFormatError(
-                f"{path}: blob {name!r} has shape {arr.shape},"
-                f" the embedded config gives {shapes[key]}"
-            )
-        table[key] = arr
+    tables: dict[str, dict[str, np.ndarray]] = {"": {}, "m.": {}, "v.": {}}
+    for prefix, name, shape in layout:
+        size = math.prod(shape)
+        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=start).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise DataFormatError(f"{path}: blob {prefix + name!r} has a non-finite entry")
+        tables[prefix][name] = arr.copy()
+        start += 8 * size
 
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        name, arr = r.blob()
-        take(arrays, name, name, arr)
-    opt_step, beta1, beta2, eps = r.unpack("<Qddd")
-    if not all(map(math.isfinite, (beta1, beta2, eps))):
-        raise DataFormatError(
-            f"{path}: non-finite optimizer scalar (beta1={beta1}, beta2={beta2}, eps={eps})"
-        )
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
-    for table, prefix in ((m, "m"), (v, "v")):
-        for _ in range(n_params):
-            name, arr = r.blob()
-            if not name.startswith(prefix + "."):
-                raise DataFormatError(f"{path}: optimizer blob {name!r} out of order")
-            take(table, name, name[len(prefix) + 1 :], arr)
-    if r.pos != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - r.pos} trailing bytes")
-
+    arrays = tables[""]
     slot_fields = {k[len("slots.") :]: v for k, v in arrays.items() if k.startswith("slots.")}
     proj_fields = {k[len("proj.") :]: v for k, v in arrays.items() if k.startswith("proj.")}
     params = SlotParams(**slot_fields)
     proj = WalkProjection(**proj_fields)
-    opt = OptimState(m=m, v=v, step=opt_step, beta1=beta1, beta2=beta2, eps=eps)
+    opt = OptimState(m=tables["m."], v=tables["v."], step=opt_step)
     return Checkpoint(params=params, proj=proj, opt=opt, step=step, config=cfg)

@@ -218,3 +218,13 @@ def test_every_byte_overwrite_loads_or_is_a_format_error(artifacts, kind, data, 
         _read_damaged(artifacts, kind, bytes(raw))
     except DataFormatError:
         pass
+
+
+@settings(PROPERTY, max_examples=300)
+@given(data=st.data())
+def test_every_byte_change_to_a_checkpoint_is_a_format_error(artifacts, data):
+    raw = bytearray(artifacts["ocwc"][0])
+    offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    raw[offset] = (raw[offset] + data.draw(st.integers(1, 255), label="change")) % 256
+    with pytest.raises(DataFormatError):
+        _read_damaged(artifacts, "ocwc", bytes(raw))
