@@ -262,43 +262,40 @@ def l2_normalize_rows(m) -> Node:
     return Node(y, (m,), (vjp,))
 
 
-def layer_norm_rows(m, gain, bias, eps: float = 1e-5) -> Node:
-    """Per-row standardization followed by an affine map.
+def layer_norm_rows(m, gain, eps: float = 1e-5) -> Node:
+    """Per-row standardization scaled by gain.
 
-    gain and bias are 1 x n, shared by every row of a stack; variance is
-    the population variance over the n columns of each row.
+    gain is 1 x n, shared by every row of a stack; variance is the
+    population variance over the n columns of each row.
     """
     if float(eps) <= 0.0:
         raise ConfigError(f"layer_norm_rows: eps must be positive, got {eps}")
-    m, gain, bias = _as_node(m), _as_node(gain, "gain"), _as_node(bias, "bias")
+    m, gain = _as_node(m), _as_node(gain, "gain")
     n = m.value.shape[-1]
-    if gain.value.shape != (1, n) or bias.value.shape != (1, n):
-        raise ShapeError(
-            f"layer_norm_rows: gain {gain.value.shape} / bias {bias.value.shape}"
-            f" do not match {m.value.shape}"
-        )
+    if gain.value.shape != (1, n):
+        raise ShapeError(f"layer_norm_rows: gain {gain.value.shape} does not match {m.value.shape}")
     v = m.value
     mean = v.mean(axis=-1, keepdims=True)
     var = ((v - mean) ** 2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (v - mean) * inv_std
-    out = xhat * gain.value + bias.value
     gv = gain.value
 
+    # the vjps recompute the standardized rows instead of holding them, so
+    # the graph keeps one array of m's size here: the output
+    def xhat() -> Array:
+        return (v - mean) * inv_std
+
     def vjp_m(g: Array) -> Array:
+        x = xhat()
         dxhat = g * gv
         term = dxhat - dxhat.mean(axis=-1, keepdims=True)
-        term -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        term -= x * (dxhat * x).mean(axis=-1, keepdims=True)
         return term * inv_std
 
-    def over_rows(g: Array) -> Array:
-        return g.reshape(-1, n).sum(axis=0, keepdims=True)
+    def vjp_gain(g: Array) -> Array:
+        return (g * xhat()).reshape(-1, n).sum(axis=0, keepdims=True)
 
-    return Node(
-        out,
-        (m, gain, bias),
-        (vjp_m, lambda g: over_rows(g * xhat), over_rows),
-    )
+    return Node(xhat() * gv, (m, gain), (vjp_m, vjp_gain))
 
 
 def _clamped(p: Array) -> Array:

@@ -29,7 +29,7 @@ from .errors import (
     TrainingDivergenceError,
     UndefinedMetricError,
 )
-from .gradcheck import GROUP_ORDER, full_model_errors, grouped_errors
+from .gradcheck import full_model_errors, grouped_errors
 from .infer import evaluate_discovery, evaluate_foreground, semantic_segment
 from .train import load_checkpoint, parse_config_text, train
 
@@ -164,10 +164,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     errors = full_model_errors(args.n, args.k, args.d, seed=args.seed)
-    grouped = grouped_errors(errors)
     worst = 0.0
-    for group in GROUP_ORDER:
-        err = grouped[group]
+    for group, err in grouped_errors(errors).items():
         worst = max(worst, err)
         print(f"{group}\t{err:.3e}")
     if worst > args.tol:

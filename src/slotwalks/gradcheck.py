@@ -8,27 +8,15 @@ finite differences.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import autodiff as ad
-from .slots import SlotParams, encode
-from .walks import WalkConfig, WalkProjection, total_loss
-
-_SLOT_FIELDS = tuple(f.name for f in dataclasses.fields(SlotParams))
-_PROJ_FIELDS = tuple(f.name for f in dataclasses.fields(WalkProjection))
+from .slots import encode
+from .train import TrainConfig, _from_named, _init_model, _named_parameters
+from .walks import total_loss
 
 # field-name prefix -> reporting group; any other parameter reports alone
 _GROUP_PREFIXES = (("w_", "qkv"), ("gru_", "gru"), ("ln_", "layer_norm"))
-
-# parameter name -> reporting group
-PARAM_GROUPS = {
-    name: next((group for prefix, group in _GROUP_PREFIXES if name.startswith(prefix)), name)
-    for name in _SLOT_FIELDS + _PROJ_FIELDS
-}
-
-GROUP_ORDER = ("mu", "log_sigma", "qkv", "gru", "layer_norm", "p_x", "p_s")
 
 
 def full_model_errors(
@@ -38,21 +26,21 @@ def full_model_errors(
     iterations: int = 2,
     seed: int = 0,
 ) -> dict[str, float]:
-    """Max relative gradient error per parameter on a random instance.
+    """Max relative gradient error per named parameter on a random instance.
 
-    The instance uses width d everywhere (features, slots, attention,
-    walk space), the default `WalkConfig` and a fixed slot-noise seed so
-    the loss is a deterministic function of the parameters.
+    The instance is the trainer's model with width d everywhere (features,
+    slots, attention, walk space), seeded from seed + 1, under the default
+    walk config and a fixed slot-noise seed, so the loss is a
+    deterministic function of the parameters. Keys are the trainer's
+    parameter names, for example "slots.mu".
     """
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
-    params = SlotParams.create(k, input_dim=d, slot_dim=d, seed=seed + 1)
-    proj = WalkProjection.create(input_dim=d, slot_dim=d, dim=d, seed=seed + 2)
-    cfg = WalkConfig()
+    cfg = TrainConfig(
+        num_slots=k, input_dim=d, slot_dim=d, walk_dim=d, iterations=iterations, seed=seed + 1
+    )
+    params, proj = _init_model(cfg)
     slot_seed = (seed, 12345)
-
-    base = dict(params.named())
-    base.update(proj.named())
 
     # the parts-whole-parts target is a detached supervisory signal: the
     # verified gradient is of the loss with the target's feature rows held
@@ -60,19 +48,24 @@ def full_model_errors(
     frozen_feats = x @ proj.p_x
 
     def make_loss(nodes):
-        p = SlotParams(**{f: nodes[f] for f in _SLOT_FIELDS})
-        pr = WalkProjection(**{f: nodes[f] for f in _PROJ_FIELDS})
+        p, pr = _from_named(nodes)
         x_node = ad.constant(x)
-        slots_hat, _ = encode(x_node, p, iterations, mode="train", seed=slot_seed)
-        return total_loss(x_node, slots_hat, pr, cfg, pwp_frozen_feats=frozen_feats)
+        slots_hat, _ = encode(x_node, p, cfg.iterations, mode="train", seed=slot_seed)
+        return total_loss(x_node, slots_hat, pr, cfg.walk(), pwp_frozen_feats=frozen_feats)
 
-    return ad.check_gradients(make_loss, base, step=1e-5)
+    return ad.check_gradients(make_loss, _named_parameters(params, proj), step=1e-5)
 
 
 def grouped_errors(errors: dict[str, float]) -> dict[str, float]:
-    """Collapse per-parameter errors to their maximum per reporting group, in order."""
+    """Collapse per-parameter errors to their maximum per reporting group.
+
+    A parameter's group is set by its field name, the part after the last
+    ".": a prefix in _GROUP_PREFIXES names the group, any other field
+    reports alone. Groups come in order of first appearance.
+    """
     grouped: dict[str, float] = {}
     for name, err in errors.items():
-        group = PARAM_GROUPS.get(name, name)
+        field = name.rpartition(".")[2]
+        group = next((g for prefix, g in _GROUP_PREFIXES if field.startswith(prefix)), field)
         grouped[group] = max(grouped.get(group, 0.0), err)
-    return {g: grouped[g] for g in GROUP_ORDER if g in grouped}
+    return grouped

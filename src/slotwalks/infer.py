@@ -204,7 +204,7 @@ def semantic_segment(
     ious = []
     for g in range(num_classes):
         if g in class_to_cluster:
-            value = miou(pred_cluster == class_to_cluster[g], gt == g)
+            value = float(score[class_to_cluster[g], g])
         else:
             value = 0.0
         ious.append(value)

@@ -39,9 +39,11 @@ class SlotParams:
     mu / log_sigma parameterize the Gaussian the initial slots are drawn
     from. w_q, w_k, w_v project slots and features into the attention
     space; the six gru_* weight matrices and three biases implement the
-    gated update; the ln_* rows are the layer-norm affine parameters for
-    the feature input (applied once per encode) and for the slots
-    (applied before the query projection at every round).
+    gated update; the ln_* rows are the layer-norm parameters for the
+    feature input (gain and bias, applied once per encode) and for the
+    slots (a gain only, applied before the query projection at every
+    round: a slot bias would add the same logit to every slot at a
+    location, which the softmax over slots cancels).
     """
 
     mu: Any
@@ -61,7 +63,6 @@ class SlotParams:
     ln_x_gain: Any
     ln_x_bias: Any
     ln_s_gain: Any
-    ln_s_bias: Any
 
     @classmethod
     def create(
@@ -108,7 +109,6 @@ class SlotParams:
             ln_x_gain=np.ones((1, input_dim)),
             ln_x_bias=np.zeros((1, input_dim)),
             ln_s_gain=np.ones((1, slot_dim)),
-            ln_s_bias=np.zeros((1, slot_dim)),
         )
 
     @property
@@ -175,7 +175,7 @@ def init_slots(params: SlotParams, mode: str, seed=None):
 
 def _attend(keys, values, slots, params: SlotParams) -> SlotState:
     """One attention round given precomputed keys/values."""
-    s_norm = ad.layer_norm_rows(slots, params.ln_s_gain, params.ln_s_bias)
+    s_norm = ad.layer_norm_rows(slots, params.ln_s_gain)
     queries = ad.matmul(s_norm, params.w_q)
     logits = ad.mul(ad.matmul(keys, ad.transpose(queries)), 1.0 / math.sqrt(params.attn_dim))
     attn = ad.softmax_rows(logits, 1.0)
@@ -190,7 +190,7 @@ def _attend(keys, values, slots, params: SlotParams) -> SlotState:
 
 
 def _project_features(x, params: SlotParams):
-    x_norm = ad.layer_norm_rows(x, params.ln_x_gain, params.ln_x_bias)
+    x_norm = ad.add(ad.layer_norm_rows(x, params.ln_x_gain), params.ln_x_bias)
     return ad.matmul(x_norm, params.w_k), ad.matmul(x_norm, params.w_v)
 
 

@@ -20,7 +20,7 @@ import struct
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, total_loss
 
 CHECKPOINT_MAGIC = b"OCWC"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # a checkpoint starts: magic, version, sha256 of every byte after it
 _CHECKPOINT_PREFIX = struct.Struct("<4sI32s")
 # then: step, Adam step, config-text length; the config text; the arrays
@@ -222,6 +222,15 @@ def _named_parameters(params: SlotParams, proj: WalkProjection) -> dict[str, np.
     return out
 
 
+def _from_named(named: dict[str, Any]) -> tuple[SlotParams, WalkProjection]:
+    """The inverse of _named_parameters."""
+    fields: dict[str, dict[str, Any]] = {"slots": {}, "proj": {}}
+    for name, value in named.items():
+        prefix, _, field_name = name.partition(".")
+        fields[prefix][field_name] = value
+    return SlotParams(**fields["slots"]), WalkProjection(**fields["proj"])
+
+
 @dataclass
 class TrainResult:
     params: SlotParams
@@ -288,9 +297,11 @@ def _open_trace(path: Path, start_step: int):
 
     The kept lines replace the trace atomically, so a failed write leaves it as it was.
     """
-    lines = path.read_text().splitlines(keepends=True) if start_step > 0 and path.exists() else []
     try:
+        lines = path.read_text().splitlines(keepends=True) if start_step > 0 and path.exists() else []
         kept = [line for line in lines if int(line.split("\t", 1)[0]) < start_step]
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
     except ValueError:
         raise DataFormatError(f"{path}: a line does not start with a step number") from None
     write_bytes_atomic(path, "".join(kept).encode())
@@ -455,10 +466,6 @@ def load_checkpoint(path) -> Checkpoint:
         tables[prefix][name] = arr.copy()
         start += 8 * size
 
-    arrays = tables[""]
-    slot_fields = {k[len("slots.") :]: v for k, v in arrays.items() if k.startswith("slots.")}
-    proj_fields = {k[len("proj.") :]: v for k, v in arrays.items() if k.startswith("proj.")}
-    params = SlotParams(**slot_fields)
-    proj = WalkProjection(**proj_fields)
+    params, proj = _from_named(tables[""])
     opt = OptimState(m=tables["m."], v=tables["v."], step=opt_step)
     return Checkpoint(params=params, proj=proj, opt=opt, step=step, config=cfg)

@@ -161,12 +161,12 @@ class TestCrossEntropyRows:
 class TestLayerNormRows:
     def test_constant_row_gives_bias(self):
         bias = np.array([[0.3, -0.1, 2.0]])
-        out = ad.layer_norm_rows(np.full((2, 3), 5.0), np.ones((1, 3)), bias).value
+        out = ad.add(ad.layer_norm_rows(np.full((2, 3), 5.0), np.ones((1, 3))), bias).value
         assert np.allclose(out, np.vstack([bias, bias]), atol=1e-12)
 
     def test_already_standardized_row(self):
-        out = ad.layer_norm_rows(
-            np.array([[-1.0, 1.0]]), np.ones((1, 2)), np.zeros((1, 2))
+        out = ad.add(
+            ad.layer_norm_rows(np.array([[-1.0, 1.0]]), np.ones((1, 2))), np.zeros((1, 2))
         ).value
         # variance is 1, so only the eps correction shrinks the row
         assert np.allclose(out, [[-1.0, 1.0]], atol=1e-4)
@@ -177,12 +177,12 @@ class TestLayerNormRows:
         m = rng.normal(size=(5, 8)) * 3
         gain = rng.normal(size=(1, 8))
         bias = rng.normal(size=(1, 8))
-        out = ad.layer_norm_rows(m, gain, bias).value
+        out = ad.add(ad.layer_norm_rows(m, gain), bias).value
         assert np.allclose(out, layer_norm_oracle(m, gain, bias), atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.layer_norm_rows(np.ones((2, 3)), np.ones((1, 4)), np.zeros((1, 3)))
+            ad.add(ad.layer_norm_rows(np.ones((2, 3)), np.ones((1, 4))), np.zeros((1, 3)))
 
 
 class TestElementwiseOps:
@@ -353,7 +353,7 @@ class TestFiniteDifferenceChecks:
         }
 
         def make_loss(nodes):
-            out = ad.layer_norm_rows(nodes["m"], nodes["gain"], nodes["bias"])
+            out = ad.add(ad.layer_norm_rows(nodes["m"], nodes["gain"]), nodes["bias"])
             return ad.sum_all(ad.mul(out, ad.constant(weight)))
 
         _fd_check(make_loss, params)

@@ -144,6 +144,20 @@ class TestTrain:
         assert rc == 2
         assert "binary.cfg: not UTF-8 text" in capsys.readouterr().err
 
+    def test_resume_over_a_trace_not_utf8_names_the_trace(self, tmp_path, capsys):
+        data = gen_data(tmp_path, capsys)
+        short = TOY_CONFIG.replace("total_steps = 40", "total_steps = 6") + "checkpoint_interval = 3\n"
+        cfg = write_config(tmp_path, short, "short.cfg")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "trace.txt").write_bytes(b"0\t\xff\n")
+        rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(out),
+                   "--resume", str(out / "checkpoint_000003.ocwc")])
+        assert rc == 2
+        assert "trace.txt: not UTF-8 text" in capsys.readouterr().err
+        assert (out / "trace.txt").read_bytes() == b"0\t\xff\n"
+
     def test_resume_continues_trace(self, tmp_path, capsys):
         data = gen_data(tmp_path, capsys)
         cfg = write_config(tmp_path, TOY_CONFIG + "checkpoint_interval = 20\n", "resume.cfg")

@@ -27,7 +27,7 @@ def layer_norm_np(m, gain, bias, eps=1e-5):
 def attention_oracle(x, slots, p):
     """Direct plain-numpy evaluation of one attention round."""
     x_n = layer_norm_np(x, as_value(p.ln_x_gain), as_value(p.ln_x_bias))
-    s_n = layer_norm_np(slots, as_value(p.ln_s_gain), as_value(p.ln_s_bias))
+    s_n = layer_norm_np(slots, as_value(p.ln_s_gain), 0.0)
     keys = x_n @ as_value(p.w_k)
     values = x_n @ as_value(p.w_v)
     queries = s_n @ as_value(p.w_q)

@@ -25,6 +25,7 @@ from slotwalks.train import (
     TrainConfig,
     _batch_loss,
     _init_model,
+    _loss_and_grads,
     _named_parameters,
     adamw_step,
     clip_grad_norm,
@@ -188,6 +189,14 @@ class TestBatchedLoss:
             for pos, i in enumerate(indices)
         ]
         assert abs(batched - np.mean(alone)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_parameter_gets_a_gradient(self, seed):
+        cfg = toy_config(seed=seed)
+        params, proj = _init_model(cfg)
+        _, grads = _loss_and_grads(toy_scenes(), np.arange(cfg.batch_size), params, proj, cfg, step=0)
+        dead = {name: float(np.abs(g).max()) for name, g in grads.items() if np.abs(g).max() <= 1e-8}
+        assert not dead, dead
 
     def test_train_accepts_mixed_cell_counts(self):
         cfg_big = SceneConfig(height=5, width=4, classes=2, feature_dim=8, noise_std=0.1)
@@ -363,7 +372,7 @@ class TestCheckpointFormat:
         with pytest.raises(DataFormatError, match="magic"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_1_rejected(self, tmp_path, version):
         scenes = toy_scenes()
         cfg = toy_config(total_steps=2, warmup_steps=1)

@@ -8,7 +8,7 @@ import pytest
 from slotwalks import autodiff as ad
 from slotwalks import walks
 from slotwalks.errors import ConfigError, DegenerateInputError, ShapeError
-from slotwalks.gradcheck import full_model_errors
+from slotwalks.gradcheck import full_model_errors, grouped_errors
 from slotwalks.walks import WalkConfig, WalkProjection, adjacency, pwp_loss, pwp_target, total_loss, wpw_loss
 
 
@@ -442,3 +442,7 @@ class TestWalkGradients:
     def test_full_loss_passes_finite_differences_small(self):
         errors = full_model_errors(8, 2, 5, iterations=1, seed=3)
         assert max(errors.values()) <= 1e-3, errors
+
+    def test_grouping_reports_every_parameter(self):
+        grouped = grouped_errors({"slots.mu": 1e-9, "slots.new_field": 0.5})
+        assert grouped == {"mu": 1e-9, "new_field": 0.5}
