@@ -28,12 +28,6 @@ from .errors import ConfigError, DegenerateInputError, ShapeError
 
 Array = np.ndarray
 
-# entries this small are clamped before any log
-LOG_CLAMP = 1e-12
-
-# probabilities this close to 1 are treated as exactly 1 inside the log
-ONE_SNAP = 1e-9
-
 _NORM_FLOOR = 1e-12
 
 
@@ -296,53 +290,6 @@ def layer_norm_rows(m, gain, eps: float = 1e-5) -> Node:
         return (g * xhat()).reshape(-1, n).sum(axis=0, keepdims=True)
 
     return Node(xhat() * gv, (m, gain), (vjp_m, vjp_gain))
-
-
-def _clamped(p: Array) -> Array:
-    """A copy of p clamped to [LOG_CLAMP, 1], with entries within ONE_SNAP of 1 set to 1."""
-    pc = np.clip(p, LOG_CLAMP, 1.0)
-    pc[pc >= 1.0 - ONE_SNAP] = 1.0
-    return pc
-
-
-def cross_entropy_rows(pred, target) -> Node:
-    """Mean over rows of -sum_j target_ij * log(pred_ij), summed over a stack.
-
-    pred is n x m or a stack of them; the loss is the sum over the stack of
-    each matrix's row mean, so it stays 1 x 1. target has pred's shape or
-    one that broadcasts to it, such as one eye(m) for every matrix.
-
-    Predictions are probabilities by contract; before the log they are
-    clamped below at 1e-12 and above at 1, and entries within ONE_SNAP of
-    1 are treated as exactly 1. The guards keep the loss non-negative for
-    one-hot targets and make a numerically perfect round trip score an
-    exact zero; they only matter within rounding error of the boundaries.
-    """
-    pred, target = _as_node(pred, "pred"), _as_node(target, "target")
-    p, q = pred.value, target.value
-    if q.ndim > p.ndim or any(t not in (1, s) for s, t in zip(p.shape[::-1], q.shape[::-1])):
-        raise ShapeError(f"cross_entropy_rows: target {q.shape} does not fit pred {p.shape}")
-    rows = p.shape[-2]
-    # a stack of N x N round trips is large: nothing of p's size is kept
-    # beyond the operands, and each pass below allocates one such array
-    logp = _clamped(p)
-    np.log(logp, out=logp)
-    total = np.vdot(q, logp) if q.shape == p.shape else (q * logp).sum()
-    del logp
-    out = np.array([[-total / rows]])
-
-    def vjp_pred(g: Array) -> Array:
-        grad = _clamped(p)
-        interior = (p > LOG_CLAMP) & (grad < 1.0)
-        np.divide(q, grad, out=grad)
-        grad *= interior
-        grad *= -g[0, 0] / rows
-        return grad
-
-    def vjp_target(g: Array) -> Array:
-        return _sum_to(np.log(_clamped(p)) * (-g[0, 0] / rows), q.shape)
-
-    return Node(out, (pred, target), (vjp_pred, vjp_target))
 
 
 def backward(loss: Node) -> None:

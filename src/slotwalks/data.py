@@ -228,6 +228,16 @@ def read_feature_file(path) -> Scene:
     return Scene(features=features, labels=labels, name=Path(path).name)
 
 
+def check_feature_width(scenes: Sequence[Scene], input_dim: int, who: str) -> None:
+    """Raise ConfigError, naming the scene, at the first scene whose features are not input_dim wide."""
+    for i, scene in enumerate(scenes):
+        if scene.dim != input_dim:
+            raise ConfigError(
+                f"{who}: scene {scene.name or i} has feature width {scene.dim},"
+                f" the model's input_dim is {input_dim}"
+            )
+
+
 def load_dataset(directory) -> list[Scene]:
     """All .ocwf files under `directory`, sorted by filename."""
     paths = sorted(Path(directory).glob("*.ocwf"))

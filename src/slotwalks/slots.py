@@ -64,6 +64,19 @@ class SlotParams:
     ln_x_bias: Any
     ln_s_gain: Any
 
+    @staticmethod
+    def shapes(num_slots: int, input_dim: int, slot_dim: int, attn_dim: int) -> dict[str, tuple[int, int]]:
+        """Field name -> shape, in declaration order."""
+        s, a, d = slot_dim, attn_dim, input_dim
+        return {
+            "mu": (num_slots, s), "log_sigma": (num_slots, s),
+            "w_q": (s, a), "w_k": (d, a), "w_v": (d, a),
+            "gru_wz": (a, s), "gru_uz": (s, s), "gru_bz": (1, s),
+            "gru_wr": (a, s), "gru_ur": (s, s), "gru_br": (1, s),
+            "gru_wh": (a, s), "gru_uh": (s, s), "gru_bh": (1, s),
+            "ln_x_gain": (1, d), "ln_x_bias": (1, d), "ln_s_gain": (1, s),
+        }
+
     @classmethod
     def create(
         cls,
@@ -73,11 +86,13 @@ class SlotParams:
         attn_dim: int | None = None,
         seed: int = 0,
     ) -> "SlotParams":
-        """Deterministic initialization from a seed.
+        """Deterministic initialization from a seed, field by field in declaration order.
 
-        Weight matrices are scaled-normal (1/sqrt(fan_in)), biases zero,
-        layer-norm gains one. log_sigma starts at -1 so the initial slot
-        noise is well below the spread of mu.
+        mu is scaled-normal (1/sqrt(slot_dim)) and log_sigma starts at -1,
+        so the initial slot noise is well below the spread of mu. The
+        w_* and gru_w*/gru_u* weight matrices are scaled-normal
+        (1/sqrt(fan_in)), layer-norm gains one, biases zero. The rule is
+        chosen by name, never by shape, since any width may be 1.
         """
         if num_slots < 1 or input_dim < 1 or slot_dim < 1:
             raise ConfigError(
@@ -87,29 +102,17 @@ class SlotParams:
         if attn_dim is None:
             attn_dim = slot_dim
         rng = np.random.default_rng(seed)
-
-        def w(rows: int, cols: int) -> np.ndarray:
-            return rng.normal(size=(rows, cols)) / math.sqrt(rows)
-
-        return cls(
-            mu=rng.normal(size=(num_slots, slot_dim)) / math.sqrt(slot_dim),
-            log_sigma=np.full((num_slots, slot_dim), -1.0),
-            w_q=w(slot_dim, attn_dim),
-            w_k=w(input_dim, attn_dim),
-            w_v=w(input_dim, attn_dim),
-            gru_wz=w(attn_dim, slot_dim),
-            gru_uz=w(slot_dim, slot_dim),
-            gru_bz=np.zeros((1, slot_dim)),
-            gru_wr=w(attn_dim, slot_dim),
-            gru_ur=w(slot_dim, slot_dim),
-            gru_br=np.zeros((1, slot_dim)),
-            gru_wh=w(attn_dim, slot_dim),
-            gru_uh=w(slot_dim, slot_dim),
-            gru_bh=np.zeros((1, slot_dim)),
-            ln_x_gain=np.ones((1, input_dim)),
-            ln_x_bias=np.zeros((1, input_dim)),
-            ln_s_gain=np.ones((1, slot_dim)),
-        )
+        fields = {}
+        for name, shape in cls.shapes(num_slots, input_dim, slot_dim, attn_dim).items():
+            if name == "mu":
+                fields[name] = rng.normal(size=shape) / math.sqrt(slot_dim)
+            elif name == "log_sigma":
+                fields[name] = np.full(shape, -1.0)
+            elif name.startswith(("w_", "gru_w", "gru_u")):
+                fields[name] = rng.normal(size=shape) / math.sqrt(shape[0])
+            else:
+                fields[name] = np.ones(shape) if name.endswith("_gain") else np.zeros(shape)
+        return cls(**fields)
 
     @property
     def num_slots(self) -> int:

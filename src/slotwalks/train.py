@@ -25,7 +25,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import Scene, group_by_cells, write_bytes_atomic
+from .data import Scene, check_feature_width, group_by_cells, write_bytes_atomic
 from .errors import CompatibilityError, ConfigError, DataFormatError, ShapeError, TrainingDivergenceError
 from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, total_loss
@@ -325,16 +325,9 @@ def train(
     if not scenes:
         raise ConfigError("train: dataset is empty")
     for i, scene in enumerate(scenes):
-        if scene.features.shape[0] < cfg.num_slots:
-            raise ConfigError(
-                f"train: scene {i} has {scene.features.shape[0]} cells,"
-                f" fewer than num_slots={cfg.num_slots}"
-            )
-        if scene.features.shape[1] != cfg.input_dim:
-            raise ConfigError(
-                f"train: scene {i} has feature width {scene.features.shape[1]},"
-                f" config says input_dim={cfg.input_dim}"
-            )
+        if scene.n < cfg.num_slots:
+            raise ConfigError(f"train: scene {i} has {scene.n} cells, fewer than num_slots={cfg.num_slots}")
+    check_feature_width(scenes, cfg.input_dim, "train")
 
     if resume is not None:
         ckpt = load_checkpoint(resume)
@@ -406,9 +399,13 @@ def _array_layout(cfg: TrainConfig) -> list[tuple[str, str, tuple[int, ...]]]:
 
     Every parameter in _named_parameters order (prefix ""), then every
     first moment ("m."), then every second moment ("v."), each of the
-    shape _init_model(cfg) gives.
+    shape `SlotParams.shapes` and `WalkProjection.shapes` give for cfg.
+    Nothing of the model's size is allocated.
     """
-    shapes = {k: a.shape for k, a in _named_parameters(*_init_model(cfg)).items()}
+    slots = SlotParams.shapes(cfg.num_slots, cfg.input_dim, cfg.slot_dim, cfg.attn_dim)
+    shapes = {f"slots.{k}": shape for k, shape in slots.items()}
+    proj = WalkProjection.shapes(cfg.input_dim, cfg.slot_dim, cfg.walk_dim)
+    shapes.update({f"proj.{k}": shape for k, shape in proj.items()})
     return [(prefix, name, shape) for prefix in ("", "m.", "v.") for name, shape in shapes.items()]
 
 

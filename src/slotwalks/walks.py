@@ -68,13 +68,17 @@ class WalkProjection:
     p_x: Any
     p_s: Any
 
+    @staticmethod
+    def shapes(input_dim: int, slot_dim: int, dim: int) -> dict[str, tuple[int, int]]:
+        """Field name -> shape, in declaration order."""
+        return {"p_x": (input_dim, dim), "p_s": (slot_dim, dim)}
+
     @classmethod
     def create(cls, input_dim: int, slot_dim: int, dim: int, seed: int = 0) -> "WalkProjection":
+        """Scaled-normal (1/sqrt(fan_in)) maps, drawn in declaration order."""
         rng = np.random.default_rng(seed)
-        return cls(
-            p_x=rng.normal(size=(input_dim, dim)) / math.sqrt(input_dim),
-            p_s=rng.normal(size=(slot_dim, dim)) / math.sqrt(slot_dim),
-        )
+        shapes = cls.shapes(input_dim, slot_dim, dim)
+        return cls(**{k: rng.normal(size=shape) / math.sqrt(shape[0]) for k, shape in shapes.items()})
 
     def named(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -166,6 +170,20 @@ def pwp_target(
     return out
 
 
+# round-trip probabilities this small are clamped before any log
+LOG_CLAMP = 1e-12
+
+# round-trip probabilities this close to 1 are treated as exactly 1 inside the log
+ONE_SNAP = 1e-9
+
+
+def _clamped(p: np.ndarray) -> np.ndarray:
+    """A copy of p clamped to [LOG_CLAMP, 1], with entries within ONE_SNAP of 1 set to 1."""
+    pc = np.clip(p, LOG_CLAMP, 1.0)
+    pc[pc >= 1.0 - ONE_SNAP] = 1.0
+    return pc
+
+
 def _round_trip_loss(
     a: ad.Node, b: ad.Node, target_rows: Callable[[slice], tuple[np.ndarray, np.ndarray]]
 ) -> ad.Node:
@@ -177,13 +195,15 @@ def _round_trip_loss(
     block's full `(..., rows, N)` shape and their values. The same blocks
     of `_BLOCK_ROWS` rows carry the whole computation: the round-trip
     rows, then, on the target's cells only, their clamped cross entropy
-    (clamp and snap as in `autodiff.cross_entropy_rows`) and the gradient
-    with respect to them, which is scattered back to the block's shape
-    for both input gradients. The loss is a scalar, so the vjps only
-    scale those gradients, and nothing of the round trip's size outlives
-    one block. The value equals `cross_entropy_rows(matmul(a, b), q)` up
-    to the order of summation: an entry where q is 0 adds nothing to the
-    loss or to either gradient.
+    and the gradient with respect to them, which is scattered back to the
+    block's shape for both input gradients. The loss is a scalar, so the
+    vjps only scale those gradients, and nothing of the round trip's size
+    outlives one block. The value equals the dense cross entropy of the
+    whole product a b against q up to the order of summation: an entry
+    where q is 0 adds nothing to the loss or to either gradient.
+    Before the log the probabilities pass through `_clamped`, and the
+    gradient is 0 where it changed them: a one-hot target then scores
+    non-negative and a numerically perfect round trip exactly zero.
     """
     av, bv = a.value, b.value
     n = av.shape[-2]
@@ -200,8 +220,8 @@ def _round_trip_loss(
         # a fresh product is contiguous, so flat is a view of p
         flat = p.reshape(-1)
         pq = flat[cells]
-        pc = ad._clamped(pq)
-        interior = (pq > ad.LOG_CLAMP) & (pc < 1.0)
+        pc = _clamped(pq)
+        interior = (pq > LOG_CLAMP) & (pc < 1.0)
         total += np.dot(q, np.log(pc, out=pq))
         # d(sum q log pc) / dp is q / pc where the clamp is inactive, else 0
         g = np.divide(q, pc, out=pc)

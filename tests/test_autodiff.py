@@ -23,15 +23,6 @@ def matmul_oracle(a, b):
     return out
 
 
-def cross_entropy_oracle(p, q):
-    rows, cols = p.shape
-    total = 0.0
-    for i in range(rows):
-        for j in range(cols):
-            total += q[i, j] * np.log(max(p[i, j], 1e-12))
-    return -total / rows
-
-
 def layer_norm_oracle(m, gain, bias, eps=1e-5):
     out = np.zeros_like(m)
     for i in range(m.shape[0]):
@@ -126,38 +117,6 @@ class TestL2NormalizeRows:
             assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
-class TestCrossEntropyRows:
-    def test_identity_rows_zero(self):
-        eye = np.eye(4)
-        assert ad.cross_entropy_rows(eye, eye).value[0, 0] == 0.0
-
-    def test_uniform_vs_onehot_ln2(self):
-        p = np.full((1, 2), 0.5)
-        q = np.array([[1.0, 0.0]])
-        out = ad.cross_entropy_rows(p, q).value[0, 0]
-        assert abs(out - np.log(2.0)) <= 1e-12
-
-    def test_matches_double_loop(self):
-        rng = np.random.default_rng(7)
-        p = rng.dirichlet(np.ones(5), size=4)
-        q = rng.dirichlet(np.ones(5), size=4)
-        out = ad.cross_entropy_rows(p, q).value[0, 0]
-        assert abs(out - cross_entropy_oracle(p, q)) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            ad.cross_entropy_rows(np.ones((2, 3)) / 3, np.ones((3, 2)) / 2)
-
-    def test_gibbs_inequality(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(6), size=3)
-            q = rng.dirichlet(np.ones(6), size=3)
-            self_ce = ad.cross_entropy_rows(p, p).value[0, 0]
-            cross_ce = ad.cross_entropy_rows(q, p).value[0, 0]
-            assert self_ce <= cross_ce + 1e-12
-
-
 class TestLayerNormRows:
     def test_constant_row_gives_bias(self):
         bias = np.array([[0.3, -0.1, 2.0]])
@@ -243,23 +202,6 @@ class TestStacks:
         ad.backward(ad.sum_all(ad.matmul(x, w)))
         expect = sum(x[i].T @ np.ones((4, 5)) for i in range(3))
         assert np.allclose(w.grad, expect, atol=1e-12)
-
-    def test_cross_entropy_sums_the_row_means_of_each_matrix(self):
-        rng = np.random.default_rng(22)
-        p = rng.dirichlet(np.ones(3), size=(2, 3))
-        q = rng.dirichlet(np.ones(3), size=(2, 3))
-        out = ad.cross_entropy_rows(p, q).value
-        assert out.shape == (1, 1)
-        assert abs(out[0, 0] - sum(cross_entropy_oracle(p[i], q[i]) for i in range(2))) <= 1e-12
-        shared = ad.cross_entropy_rows(p, np.eye(3)).value[0, 0]
-        assert abs(shared - sum(cross_entropy_oracle(p[i], np.eye(3)) for i in range(2))) <= 1e-12
-
-    def test_cross_entropy_target_must_fit_pred(self):
-        p = np.full((2, 3, 3), 1.0 / 3)
-        for target in (np.ones((3, 2)), np.ones((3, 3, 3)), np.ones((1, 2, 3, 3))):
-            with pytest.raises(ShapeError):
-                ad.cross_entropy_rows(p, target)
-
 
 class TestGraphRetention:
     def test_constant_chain_keeps_no_parents(self):
@@ -355,20 +297,6 @@ class TestFiniteDifferenceChecks:
         def make_loss(nodes):
             out = ad.add(ad.layer_norm_rows(nodes["m"], nodes["gain"]), nodes["bias"])
             return ad.sum_all(ad.mul(out, ad.constant(weight)))
-
-        _fd_check(make_loss, params)
-
-    def test_cross_entropy_both_arguments(self):
-        rng = np.random.default_rng(14)
-        params = {
-            "logits": rng.normal(size=(3, 4)),
-            "target_logits": rng.normal(size=(3, 4)),
-        }
-
-        def make_loss(nodes):
-            p = ad.softmax_rows(nodes["logits"], 1.0)
-            q = ad.softmax_rows(nodes["target_logits"], 1.0)
-            return ad.cross_entropy_rows(p, q)
 
         _fd_check(make_loss, params)
 

@@ -239,6 +239,18 @@ class TestEval:
         rc = main(["eval", "--data", str(bare), "--checkpoint", str(ckpt), "--task", "fg"])
         assert rc == 2
 
+    def test_feature_width_mismatch_names_the_scene_and_both_widths(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        wide = tmp_path / "wide"
+        assert main(["gen", "--out", str(wide), "--scenes", "2", "--grid", "4x4",
+                     "--classes", "2", "--dim", "16", "--seed", "0"]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(wide), "--checkpoint", str(ckpt), "--task", "fg"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "scene 0000.ocwf has feature width 16, the model's input_dim is 8" in err
+        assert str(ckpt) in err and str(wide) in err
+
     def test_checkpoint_hash_mismatch(self, trained, tmp_path, capsys):
         data, ckpt = trained
         raw = bytearray(ckpt.read_bytes())

@@ -125,19 +125,6 @@ def test_layer_norm_matches_finite_differences(lead, rows, cols, seed):
 
 
 @PROPERTY
-@given(lead=leads, shared_target=st.booleans(), rows=sizes, cols=sizes, seed=seeds)
-def test_cross_entropy_matches_finite_differences_in_both_arguments(lead, shared_target, rows, cols, seed):
-    rng = np.random.default_rng(seed)
-    q_lead = () if shared_target else lead
-    params = {"p": rng.normal(size=lead + (rows, cols)), "q": rng.normal(size=q_lead + (rows, cols))}
-
-    def make_loss(nodes):
-        return ad.cross_entropy_rows(ad.softmax_rows(nodes["p"], 1.0), ad.softmax_rows(nodes["q"], 1.0))
-
-    assert _fd_worst(make_loss, params) <= GRAD_TOL
-
-
-@PROPERTY
 @given(
     loss=st.sampled_from(["wpw", "pwp"]),
     lead=leads,

@@ -55,6 +55,15 @@ def gru_oracle(slots, updates, p):
     return out
 
 
+class TestShapes:
+    @pytest.mark.parametrize("widths", [(3, 5, 4, 7), (1, 1, 1, 1)])
+    def test_every_field_in_declaration_order_with_the_created_shape(self, widths):
+        shapes = SlotParams.shapes(*widths)
+        assert list(shapes) == [f.name for f in dataclasses.fields(SlotParams)]
+        created = SlotParams.create(*widths, seed=2).named()
+        assert {k: v.shape for k, v in created.items()} == shapes
+
+
 class TestInitSlots:
     def test_tiny_sigma_collapses_to_mu(self):
         p = make_params(3, 4, 4)

@@ -8,6 +8,7 @@ import os
 import re
 import struct
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -434,6 +435,28 @@ class TestCheckpointFormat:
         with pytest.raises(DataFormatError, match=r"c\.ocwc: the embedded config is not valid UTF-8"):
             load_checkpoint(path)
 
+    def test_wide_config_refused_before_anything_is_allocated(self, tmp_path):
+        # a valid digest over config text that claims 1024-wide slots: the
+        # file is far too short for them, which the load must find from the
+        # widths alone, not by building a model of that size first
+        path = _saved_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        # config text length at bytes 56:60, the text from byte 60
+        (cfg_len,) = struct.unpack_from("<I", raw, 56)
+        text = raw[60 : 60 + cfg_len]
+        wide = text.replace(b"slot_dim = 8\n", b"slot_dim = 1024\n").replace(b"attn_dim = 8\n", b"attn_dim = 1024\n")
+        assert wide.count(b"1024") == 2
+        body = raw[40:56] + struct.pack("<I", len(wide)) + wide + raw[60 + cfg_len :]
+        path.write_bytes(raw[:8] + hashlib.sha256(body).digest() + body)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=r"c\.ocwc: \d+ bytes, the embedded config gives \d+"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
     @pytest.mark.parametrize(
         "blob, array",
         [
@@ -447,6 +470,35 @@ class TestCheckpointFormat:
         path = _saved_checkpoint(tmp_path, lambda result: array(result).__setitem__((0, -1), np.nan))
         with pytest.raises(DataFormatError, match=rf"c\.ocwc: blob '{re.escape(blob)}' has a non-finite entry"):
             load_checkpoint(path)
+
+
+# name -> (config, sha256 of its initial parameters as 0.10.0 drew them:
+# little-endian float64, in _named_parameters order)
+INITIAL_PARAMETERS = {
+    "bench_k3": (
+        TrainConfig(num_slots=3, input_dim=32, slot_dim=64, walk_dim=64),
+        "87b2e4396a5a3460b37495c135af062c417c3ca98fc3cb9df5af2284b053f2b6",
+    ),
+    "width_1": (
+        TrainConfig(num_slots=1, input_dim=1, slot_dim=1, walk_dim=1, seed=5),
+        "5ddcb7cb607a61cdfc8e5a2e8e0508ec61d79b2deb15cfecaa19ba0951f8aeac",
+    ),
+    "attn_7": (
+        TrainConfig(num_slots=2, input_dim=5, slot_dim=4, attn_dim=7, walk_dim=3, seed=11),
+        "25ca34afe4f8933d4bc29ae14672ea46ca5c802b8a0bdacd9a927ada4c06cdc9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(INITIAL_PARAMETERS))
+def test_initial_parameters_are_pinned(name):
+    # every width 1 makes each weight matrix the shape of a bias row, so an
+    # init rule keyed on shape instead of name changes that digest
+    cfg, expect = INITIAL_PARAMETERS[name]
+    digest = hashlib.sha256()
+    for arr in _named_parameters(*_init_model(cfg)).values():
+        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == expect
 
 
 def _saved_checkpoint(tmp_path, change=lambda result: None):

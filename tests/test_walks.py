@@ -1,9 +1,12 @@
-"""Tests for adjacency construction and the two walk losses."""
+"""Tests for adjacency construction, the two walk losses, and the dense cross entropy they are checked against."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotwalks import autodiff as ad
 from slotwalks import walks
@@ -35,6 +38,130 @@ def pwp_target_oracle(x, gamma):
         for j, pj in zip(survivors, p):
             out[i, j] = pj
     return out
+
+
+def cross_entropy_oracle(p, q):
+    rows, cols = p.shape
+    total = 0.0
+    for i in range(rows):
+        for j in range(cols):
+            total += q[i, j] * np.log(max(p[i, j], 1e-12))
+    return -total / rows
+
+
+def clamped(p):
+    """A copy of p clamped to [LOG_CLAMP, 1], with entries within ONE_SNAP of 1 set to 1."""
+    pc = np.clip(p, walks.LOG_CLAMP, 1.0)
+    pc[pc >= 1.0 - walks.ONE_SNAP] = 1.0
+    return pc
+
+
+def cross_entropy_rows(pred, target) -> ad.Node:
+    """Dense reference of the round-trip kernel: mean over rows of -sum_j target_ij log(pred_ij), summed over a stack.
+
+    pred is n x m or a stack of them; the loss is the sum over the stack of
+    each matrix's row mean, so it stays 1 x 1. target is a fixed array of
+    pred's shape or one that broadcasts to it, such as one eye(m) for
+    every matrix; only pred gets a gradient. Before the log, pred is
+    clamped and snapped as the kernel does, and the gradient is 0 where
+    that changed an entry.
+    """
+    pred = ad._as_node(pred, "pred")
+    p, q = pred.value, ad.as_matrix(target, "target")
+    rows = p.shape[-2]
+    logp = clamped(p)
+    np.log(logp, out=logp)
+    total = np.vdot(q, logp) if q.shape == p.shape else (q * logp).sum()
+    out = np.array([[-total / rows]])
+
+    def vjp_pred(g):
+        grad = clamped(p)
+        interior = (p > walks.LOG_CLAMP) & (grad < 1.0)
+        np.divide(q, grad, out=grad)
+        grad *= interior
+        grad *= -g[0, 0] / rows
+        return grad
+
+    return ad.Node(out, (pred,), (vjp_pred,))
+
+
+class TestCrossEntropyRows:
+    """The dense reference itself, against loops, closed forms and finite differences."""
+
+    def test_identity_rows_zero(self):
+        eye = np.eye(4)
+        assert cross_entropy_rows(eye, eye).value[0, 0] == 0.0
+
+    def test_uniform_vs_onehot_ln2(self):
+        p = np.full((1, 2), 0.5)
+        q = np.array([[1.0, 0.0]])
+        out = cross_entropy_rows(p, q).value[0, 0]
+        assert abs(out - np.log(2.0)) <= 1e-12
+
+    def test_matches_double_loop(self):
+        rng = np.random.default_rng(7)
+        p = rng.dirichlet(np.ones(5), size=4)
+        q = rng.dirichlet(np.ones(5), size=4)
+        out = cross_entropy_rows(p, q).value[0, 0]
+        assert abs(out - cross_entropy_oracle(p, q)) <= 1e-12
+
+    def test_gibbs_inequality(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            p = rng.dirichlet(np.ones(6), size=3)
+            q = rng.dirichlet(np.ones(6), size=3)
+            self_ce = cross_entropy_rows(p, p).value[0, 0]
+            cross_ce = cross_entropy_rows(q, p).value[0, 0]
+            assert self_ce <= cross_ce + 1e-12
+
+    def test_cross_entropy_sums_the_row_means_of_each_matrix(self):
+        rng = np.random.default_rng(22)
+        p = rng.dirichlet(np.ones(3), size=(2, 3))
+        q = rng.dirichlet(np.ones(3), size=(2, 3))
+        out = cross_entropy_rows(p, q).value
+        assert out.shape == (1, 1)
+        assert abs(out[0, 0] - sum(cross_entropy_oracle(p[i], q[i]) for i in range(2))) <= 1e-12
+        shared = cross_entropy_rows(p, np.eye(3)).value[0, 0]
+        assert abs(shared - sum(cross_entropy_oracle(p[i], np.eye(3)) for i in range(2))) <= 1e-12
+
+    def test_pred_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(14)
+        params = {"logits": rng.normal(size=(3, 4))}
+        q = ad.softmax_rows(rng.normal(size=(3, 4)), 1.0).value
+
+        def make_loss(nodes):
+            return cross_entropy_rows(ad.softmax_rows(nodes["logits"], 1.0), q)
+
+        errors = ad.check_gradients(make_loss, params)
+        assert max(errors.values()) <= 1e-3, errors
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    lead=st.sampled_from([(), (1,), (2,), (3,)]),
+    shared_target=st.booleans(),
+    rows=st.integers(min_value=1, max_value=4),
+    cols=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_cross_entropy_matches_finite_differences_in_pred(lead, shared_target, rows, cols, seed):
+    # the target is held fixed; a shared one is a single matrix for the whole stack
+    rng = np.random.default_rng(seed)
+    q_lead = () if shared_target else lead
+    params = {"p": rng.normal(size=lead + (rows, cols))}
+    q = ad.softmax_rows(rng.normal(size=q_lead + (rows, cols)), 1.0).value
+
+    def make_loss(nodes):
+        return cross_entropy_rows(ad.softmax_rows(nodes["p"], 1.0), q)
+
+    assert max(ad.check_gradients(make_loss, params).values()) <= 1e-3
+
+
+def test_projection_shapes_name_every_field_in_declaration_order():
+    shapes = WalkProjection.shapes(input_dim=6, slot_dim=5, dim=4)
+    assert list(shapes) == [f.name for f in dataclasses.fields(WalkProjection)]
+    created = WalkProjection.create(input_dim=6, slot_dim=5, dim=4, seed=13).named()
+    assert {k: v.shape for k, v in created.items()} == shapes
 
 
 class TestWalkConfig:
@@ -230,7 +357,7 @@ class TestPwpLoss:
 
 
 def dense_oracle(loss, s, x, tau, gamma, frozen=None):
-    """`loss` and both input gradients through the dense round trip and `cross_entropy_rows`.
+    """`loss` and both input gradients through the dense round trip and the reference `cross_entropy_rows`.
 
     wpw_loss's round trip m_sx m_xs is scored against eye(K), pwp_loss's
     m_xs m_sx against the target of the unit features or of `frozen`.
@@ -238,10 +365,10 @@ def dense_oracle(loss, s, x, tau, gamma, frozen=None):
     s, x = ad.leaf(s), ad.leaf(x)
     m_sx, m_xs, feats_n = adjacency(s, x, tau)
     if loss is wpw_loss:
-        out = ad.cross_entropy_rows(ad.matmul(m_sx, m_xs), np.eye(m_sx.shape[-2]))
+        out = cross_entropy_rows(ad.matmul(m_sx, m_xs), np.eye(m_sx.shape[-2]))
     else:
         feats = feats_n if frozen is None else frozen
-        out = ad.cross_entropy_rows(ad.matmul(m_xs, m_sx), pwp_target(feats, gamma))
+        out = cross_entropy_rows(ad.matmul(m_xs, m_sx), pwp_target(feats, gamma))
     ad.backward(out)
     return out.value[0, 0], s.grad, x.grad
 
