@@ -29,6 +29,13 @@ from .errors import ConfigError, DegenerateInputError, ShapeError
 Array = np.ndarray
 
 _NORM_FLOOR = 1e-12
+# added to each row's variance in layer_norm_rows
+LAYER_NORM_EPS = 1e-5
+# central-difference step of finite_difference_gradients
+FD_STEP = 1e-5
+# check_gradients' relative-error denominator floor, which keeps near-zero
+# gradients from dividing by finite-difference noise
+GRAD_ERROR_FLOOR = 1e-6
 
 
 def as_matrix(data, name: str = "matrix") -> Array:
@@ -143,23 +150,12 @@ def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
     return g.sum(axis=axes, keepdims=True) if axes else g
 
 
-def _identity(g: Array) -> Array:
-    return g
-
-
-def _add_vjp(shape: tuple[int, ...], out_shape: tuple[int, ...]) -> Callable[[Array], Array]:
-    # an operand that was not stretched shares one function instead of a new
-    # closure: thousands of closures per step make the garbage collector run
-    # measurably more often
-    return _identity if shape == out_shape else (lambda g: _sum_to(g, shape))
-
-
 def add(a, b) -> Node:
     """Elementwise sum under numpy broadcasting (a 1 x n row, a number)."""
     a, b = _as_node(a), _as_node(b)
-    out = _broadcast("add", np.add, a.value, b.value)
-    vjps = (_add_vjp(a.value.shape, out.shape), _add_vjp(b.value.shape, out.shape))
-    return Node(out, (a, b), vjps)
+    av, bv = a.value, b.value
+    out = _broadcast("add", np.add, av, bv)
+    return Node(out, (a, b), (lambda g: _sum_to(g, av.shape), lambda g: _sum_to(g, bv.shape)))
 
 
 def mul(a, b) -> Node:
@@ -256,14 +252,12 @@ def l2_normalize_rows(m) -> Node:
     return Node(y, (m,), (vjp,))
 
 
-def layer_norm_rows(m, gain, eps: float = 1e-5) -> Node:
+def layer_norm_rows(m, gain) -> Node:
     """Per-row standardization scaled by gain.
 
     gain is 1 x n, shared by every row of a stack; variance is the
-    population variance over the n columns of each row.
+    population variance over the n columns of each row, plus LAYER_NORM_EPS.
     """
-    if float(eps) <= 0.0:
-        raise ConfigError(f"layer_norm_rows: eps must be positive, got {eps}")
     m, gain = _as_node(m), _as_node(gain, "gain")
     n = m.value.shape[-1]
     if gain.value.shape != (1, n):
@@ -271,7 +265,7 @@ def layer_norm_rows(m, gain, eps: float = 1e-5) -> Node:
     v = m.value
     mean = v.mean(axis=-1, keepdims=True)
     var = ((v - mean) ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     gv = gain.value
 
     # the vjps recompute the standardized rows instead of holding them, so
@@ -330,9 +324,8 @@ def backward(loss: Node) -> None:
 def finite_difference_gradients(
     make_loss: Callable[[Mapping[str, Node]], Node],
     params: Mapping[str, Array],
-    step: float = 1e-5,
 ) -> dict[str, Array]:
-    """Central-difference gradient of the loss for every parameter entry.
+    """Central-difference gradient of the loss for every parameter entry, with step FD_STEP.
 
     `make_loss` must rebuild the loss deterministically from the given
     name -> Node mapping on every call.
@@ -349,12 +342,12 @@ def finite_difference_gradients(
         g = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             hi = evaluate()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             lo = evaluate()
             flat[i] = orig
-            g[i] = (hi - lo) / (2.0 * step)
+            g[i] = (hi - lo) / (2.0 * FD_STEP)
         grads[name] = g.reshape(work[name].shape)
     return grads
 
@@ -362,23 +355,20 @@ def finite_difference_gradients(
 def check_gradients(
     make_loss: Callable[[Mapping[str, Node]], Node],
     params: Mapping[str, Array],
-    step: float = 1e-5,
-    denom_floor: float = 1e-6,
 ) -> dict[str, float]:
     """Max relative error per parameter between graph and finite-difference grads.
 
     Relative error of entries a (graph) and b (finite difference) is
-    |a - b| / max(|a|, |b|, denom_floor); the floor keeps near-zero
-    gradients from dividing by finite-difference noise.
+    |a - b| / max(|a|, |b|, GRAD_ERROR_FLOOR).
     """
     nodes = {k: leaf(v) for k, v in params.items()}
     loss = make_loss(nodes)
     backward(loss)
-    fd = finite_difference_gradients(make_loss, params, step)
+    fd = finite_difference_gradients(make_loss, params)
     out: dict[str, float] = {}
     for name in params:
         a, b = nodes[name].grad, fd[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), denom_floor)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), GRAD_ERROR_FLOOR)
         out[name] = float(np.max(np.abs(a - b) / denom))
     return out
 

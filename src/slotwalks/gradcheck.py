@@ -29,7 +29,7 @@ def full_model_errors(
     """Max relative gradient error per named parameter on a random instance.
 
     The instance is the trainer's model with width d everywhere (features,
-    slots, attention, walk space), seeded from seed + 1, under the default
+    slots, walk space), seeded from seed + 1, under the default
     walk config and a fixed slot-noise seed, so the loss is a
     deterministic function of the parameters. Keys are the trainer's
     parameter names, for example "slots.mu".
@@ -53,7 +53,7 @@ def full_model_errors(
         slots_hat, _ = encode(x_node, p, cfg.iterations, mode="train", seed=slot_seed)
         return total_loss(x_node, slots_hat, pr, cfg.walk(), pwp_frozen_feats=frozen_feats)
 
-    return ad.check_gradients(make_loss, _named_parameters(params, proj), step=1e-5)
+    return ad.check_gradients(make_loss, _named_parameters(params, proj))
 
 
 def grouped_errors(errors: dict[str, float]) -> dict[str, float]:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import Scene, group_by_cells, write_bytes_atomic
+from .data import Scene, check_feature_width, group_by_cells, write_bytes_atomic
 from .errors import ConfigError, DataFormatError, ShapeError, UndefinedMetricError
 from .metrics import EvalReport, ari_fg, assign_classes, dice, kmeans, miou
 from .slots import SlotParams, encode
@@ -99,6 +99,7 @@ def _evaluate(report: EvalReport, score, scenes, params, proj, cfg, iterations: 
     """One row per scene from score(hard slot labels, ground-truth labels), then the mean."""
     ordered = _sorted_scenes(scenes)
     labels = [_require_labels(s, f"evaluate {report.task}: scene {i}") for i, s in enumerate(ordered)]
+    check_feature_width(ordered, params.input_dim, f"evaluate {report.task}")
     params, proj = params.lift(ad.constant), proj.lift(ad.constant)
     masks = _per_scene(ordered, lambda x: slot_masks(x, params, proj, cfg, iterations))
     for i, scene in enumerate(ordered):
@@ -147,7 +148,6 @@ def semantic_segment(
     cfg: WalkConfig,
     iterations: int,
     num_classes: int,
-    seed: int = 0,
 ) -> EvalReport:
     """Cluster slot-pooled object features dataset-wide and match to classes.
 
@@ -172,6 +172,7 @@ def semantic_segment(
                 f" {int(labels[outside][0])} outside [0, {num_classes})"
             )
         gt_all.append(labels)
+    check_feature_width(ordered, params.input_dim, "semantic_segment")
     params, proj = params.lift(ad.constant), proj.lift(ad.constant)
 
     def pool_and_bind(x):
@@ -185,7 +186,7 @@ def semantic_segment(
             f"semantic_segment: only {pool.shape[0]} pooled vectors for"
             f" {num_classes} classes"
         )
-    _, cluster_of = kmeans(pool, num_classes, seed)
+    _, cluster_of = kmeans(pool, num_classes, seed=0)
 
     k = params.num_slots
     pred_cluster = np.concatenate(

@@ -37,13 +37,13 @@ class SlotParams:
     """All trainable parameters of the encoder.
 
     mu / log_sigma parameterize the Gaussian the initial slots are drawn
-    from. w_q, w_k, w_v project slots and features into the attention
-    space; the six gru_* weight matrices and three biases implement the
-    gated update; the ln_* rows are the layer-norm parameters for the
-    feature input (gain and bias, applied once per encode) and for the
-    slots (a gain only, applied before the query projection at every
-    round: a slot bias would add the same logit to every slot at a
-    location, which the softmax over slots cancels).
+    from. w_q, w_k, w_v project slots and features to the slot width,
+    which is also the attention width; the six gru_* weight matrices and
+    three biases implement the gated update; the ln_* rows are the
+    layer-norm parameters for the feature input (gain and bias, applied
+    once per encode) and for the slots (a gain only, applied before the
+    query projection at every round: a slot bias would add the same logit
+    to every slot at a location, which the softmax over slots cancels).
     """
 
     mu: Any
@@ -65,15 +65,15 @@ class SlotParams:
     ln_s_gain: Any
 
     @staticmethod
-    def shapes(num_slots: int, input_dim: int, slot_dim: int, attn_dim: int) -> dict[str, tuple[int, int]]:
+    def shapes(num_slots: int, input_dim: int, slot_dim: int) -> dict[str, tuple[int, int]]:
         """Field name -> shape, in declaration order."""
-        s, a, d = slot_dim, attn_dim, input_dim
+        s, d = slot_dim, input_dim
         return {
             "mu": (num_slots, s), "log_sigma": (num_slots, s),
-            "w_q": (s, a), "w_k": (d, a), "w_v": (d, a),
-            "gru_wz": (a, s), "gru_uz": (s, s), "gru_bz": (1, s),
-            "gru_wr": (a, s), "gru_ur": (s, s), "gru_br": (1, s),
-            "gru_wh": (a, s), "gru_uh": (s, s), "gru_bh": (1, s),
+            "w_q": (s, s), "w_k": (d, s), "w_v": (d, s),
+            "gru_wz": (s, s), "gru_uz": (s, s), "gru_bz": (1, s),
+            "gru_wr": (s, s), "gru_ur": (s, s), "gru_br": (1, s),
+            "gru_wh": (s, s), "gru_uh": (s, s), "gru_bh": (1, s),
             "ln_x_gain": (1, d), "ln_x_bias": (1, d), "ln_s_gain": (1, s),
         }
 
@@ -83,7 +83,6 @@ class SlotParams:
         num_slots: int,
         input_dim: int,
         slot_dim: int = 256,
-        attn_dim: int | None = None,
         seed: int = 0,
     ) -> "SlotParams":
         """Deterministic initialization from a seed, field by field in declaration order.
@@ -99,11 +98,9 @@ class SlotParams:
                 f"SlotParams.create: bad shape num_slots={num_slots},"
                 f" input_dim={input_dim}, slot_dim={slot_dim}"
             )
-        if attn_dim is None:
-            attn_dim = slot_dim
         rng = np.random.default_rng(seed)
         fields = {}
-        for name, shape in cls.shapes(num_slots, input_dim, slot_dim, attn_dim).items():
+        for name, shape in cls.shapes(num_slots, input_dim, slot_dim).items():
             if name == "mu":
                 fields[name] = rng.normal(size=shape) / math.sqrt(slot_dim)
             elif name == "log_sigma":
@@ -125,10 +122,6 @@ class SlotParams:
     @property
     def input_dim(self) -> int:
         return _value(self.w_k).shape[0]
-
-    @property
-    def attn_dim(self) -> int:
-        return _value(self.w_q).shape[1]
 
     def named(self) -> dict[str, Any]:
         """Field name -> value, in declaration order."""
@@ -180,7 +173,7 @@ def _attend(keys, values, slots, params: SlotParams) -> SlotState:
     """One attention round given precomputed keys/values."""
     s_norm = ad.layer_norm_rows(slots, params.ln_s_gain)
     queries = ad.matmul(s_norm, params.w_q)
-    logits = ad.mul(ad.matmul(keys, ad.transpose(queries)), 1.0 / math.sqrt(params.attn_dim))
+    logits = ad.mul(ad.matmul(keys, ad.transpose(queries)), 1.0 / math.sqrt(params.slot_dim))
     attn = ad.softmax_rows(logits, 1.0)
     n = _value(attn).shape[-2]
     # the guard keeps an all-unattended slot from dividing by ~0 while the

@@ -31,7 +31,7 @@ from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, total_loss
 
 CHECKPOINT_MAGIC = b"OCWC"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # a checkpoint starts: magic, version, sha256 of every byte after it
 _CHECKPOINT_PREFIX = struct.Struct("<4sI32s")
 # then: step, Adam step, config-text length; the config text; the arrays
@@ -50,7 +50,6 @@ class TrainConfig:
     num_slots: int
     input_dim: int
     slot_dim: int = 256
-    attn_dim: int = 0  # 0 means "same as slot_dim", resolved below
     iterations: int = 3
     walk_dim: int = 128
     tau: float = 0.1
@@ -79,8 +78,6 @@ class TrainConfig:
                      "decay_half_life_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"TrainConfig: {name} must be >= 1, got {getattr(self, name)}")
-        if self.attn_dim == 0:
-            object.__setattr__(self, "attn_dim", self.slot_dim)
         if self.warmup_steps > self.total_steps:
             raise ConfigError(
                 f"TrainConfig: warmup_steps {self.warmup_steps} exceeds"
@@ -211,7 +208,7 @@ def adamw_step(
 def _init_model(cfg: TrainConfig) -> tuple[SlotParams, WalkProjection]:
     """Freshly seeded parameters; their shapes are the ones a checkpoint of cfg holds."""
     return (
-        SlotParams.create(cfg.num_slots, cfg.input_dim, cfg.slot_dim, cfg.attn_dim, seed=cfg.seed),
+        SlotParams.create(cfg.num_slots, cfg.input_dim, cfg.slot_dim, seed=cfg.seed),
         WalkProjection.create(cfg.input_dim, cfg.slot_dim, cfg.walk_dim, seed=cfg.seed + 1),
     )
 
@@ -402,7 +399,7 @@ def _array_layout(cfg: TrainConfig) -> list[tuple[str, str, tuple[int, ...]]]:
     shape `SlotParams.shapes` and `WalkProjection.shapes` give for cfg.
     Nothing of the model's size is allocated.
     """
-    slots = SlotParams.shapes(cfg.num_slots, cfg.input_dim, cfg.slot_dim, cfg.attn_dim)
+    slots = SlotParams.shapes(cfg.num_slots, cfg.input_dim, cfg.slot_dim)
     shapes = {f"slots.{k}": shape for k, shape in slots.items()}
     proj = WalkProjection.shapes(cfg.input_dim, cfg.slot_dim, cfg.walk_dim)
     shapes.update({f"proj.{k}": shape for k, shape in proj.items()})

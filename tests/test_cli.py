@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slotwalks
 from slotwalks.cli import main
 from slotwalks.data import read_feature_file
 
@@ -126,7 +128,7 @@ class TestTrain:
         assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "bad", ["alpha = nan", "alpha = nan\nbeta = nan", "clip_norm = nan", "attn_dim = -5"]
+        "bad", ["alpha = nan", "alpha = nan\nbeta = nan", "clip_norm = nan", "checkpoint_interval = -5"]
     )
     def test_bad_value_rejected_naming_the_config_file(self, tmp_path, capsys, bad):
         data = gen_data(tmp_path, capsys)
@@ -303,3 +305,9 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("0000.ocwf")
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        assert slotwalks.__version__ == tomllib.load(f)["project"]["version"]

@@ -149,6 +149,18 @@ class TestTaskEvaluators:
         with pytest.raises(UndefinedMetricError):
             semantic_segment([scene], params, proj, cfg, 2, num_classes=2)
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [evaluate_foreground, evaluate_discovery, lambda *args: semantic_segment(*args, num_classes=2)],
+        ids=["fg", "discovery", "semantic"],
+    )
+    def test_feature_width_mismatch_names_the_scene_and_both_widths(self, evaluate):
+        params, proj, cfg = toy_model(input_dim=8)
+        scene = generate_scene(SceneConfig(height=2, width=2, classes=2, feature_dim=16), seed=0)
+        scene.name = "a.ocwf"
+        with pytest.raises(ConfigError, match=r"scene a\.ocwf has feature width 16, the model's input_dim is 8"):
+            evaluate([scene], params, proj, cfg, 2)
+
 
 class TestSemanticSegment:
     def test_single_class_dataset(self):

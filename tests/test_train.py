@@ -373,7 +373,7 @@ class TestCheckpointFormat:
         with pytest.raises(DataFormatError, match="magic"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_version_1_rejected(self, tmp_path, version):
         scenes = toy_scenes()
         cfg = toy_config(total_steps=2, warmup_steps=1)
@@ -444,8 +444,8 @@ class TestCheckpointFormat:
         # config text length at bytes 56:60, the text from byte 60
         (cfg_len,) = struct.unpack_from("<I", raw, 56)
         text = raw[60 : 60 + cfg_len]
-        wide = text.replace(b"slot_dim = 8\n", b"slot_dim = 1024\n").replace(b"attn_dim = 8\n", b"attn_dim = 1024\n")
-        assert wide.count(b"1024") == 2
+        wide = text.replace(b"slot_dim = 8\n", b"slot_dim = 1024\n")
+        assert wide.count(b"1024") == 1
         body = raw[40:56] + struct.pack("<I", len(wide)) + wide + raw[60 + cfg_len :]
         path.write_bytes(raw[:8] + hashlib.sha256(body).digest() + body)
         tracemalloc.start()
@@ -482,10 +482,6 @@ INITIAL_PARAMETERS = {
     "width_1": (
         TrainConfig(num_slots=1, input_dim=1, slot_dim=1, walk_dim=1, seed=5),
         "5ddcb7cb607a61cdfc8e5a2e8e0508ec61d79b2deb15cfecaa19ba0951f8aeac",
-    ),
-    "attn_7": (
-        TrainConfig(num_slots=2, input_dim=5, slot_dim=4, attn_dim=7, walk_dim=3, seed=11),
-        "25ca34afe4f8933d4bc29ae14672ea46ca5c802b8a0bdacd9a927ada4c06cdc9",
     ),
 }
 
@@ -613,6 +609,11 @@ class TestConfigText:
         text = "num_slots = 3\ninput_dim = 8\nlearning_rate = 0.1\n"
         with pytest.raises(DataFormatError, match="line 3"):
             parse_config_text(text)
+
+    def test_attention_width_is_an_unknown_key(self):
+        # the attention width is the slot width; a config may not set it
+        with pytest.raises(DataFormatError, match=r"cfg line 3: unknown key 'attn_dim'"):
+            parse_config_text("num_slots = 3\ninput_dim = 8\nattn_dim = 8\n", source="cfg")
 
     def test_bad_value_type(self):
         with pytest.raises(DataFormatError, match="integer"):
