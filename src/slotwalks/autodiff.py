@@ -6,7 +6,10 @@ axes; a 2-D value is the no-batch case of the same ops. Differentiable
 computations build a graph of `Node` objects; `backward` fills in the
 gradient of a scalar loss with respect to every leaf created by `leaf`.
 Graphs are rebuilt from scratch for every loss evaluation and walked
-exactly once, which keeps replay deterministic.
+exactly once, which keeps replay deterministic. `backward` consumes the
+graph as it walks it, so activations are freed during the walk:
+afterwards an op node's `grad` is None, only leaves keep gradients, and a
+second `backward` over a spent graph raises.
 
 Every op accepts either a `Node` or anything `as_matrix` understands;
 raw arrays and numbers are lifted to constants that do not receive
@@ -53,14 +56,15 @@ def as_matrix(data, name: str = "matrix") -> Array:
 class Node:
     """One vertex of the differentiation graph.
 
-    `value` holds the forward result; `grad` holds d(loss)/d(value) once
-    `backward` has reached the node (a fresh leaf holds zeros, an op None).
-    `_vjps[i]` maps the output gradient to the i-th parent's gradient. A
-    node that needs no gradient keeps neither, so the arrays its vjps
-    hold are freed as soon as nothing else reads them.
+    `value` holds the forward result. A leaf's `grad` holds d(loss)/d(value)
+    (zeros until a `backward` reaches it); an op's `grad` is None outside
+    `backward`. `_vjps[i]` maps the output gradient to the i-th parent's
+    gradient. A node that needs no gradient keeps neither, so the arrays
+    its vjps hold are freed as soon as nothing else reads them; `backward`
+    drops both from each op it passes, which leaves the op spent.
     """
 
-    __slots__ = ("value", "grad", "needs_grad", "_parents", "_vjps", "__weakref__")
+    __slots__ = ("value", "grad", "needs_grad", "_op", "_parents", "_vjps", "__weakref__")
 
     def __init__(
         self,
@@ -74,6 +78,7 @@ class Node:
         if needs_grad is None:
             needs_grad = any(p.needs_grad for p in parents)
         self.needs_grad = needs_grad
+        self._op = bool(parents)
         self._parents = parents if needs_grad else ()
         self._vjps = vjps if needs_grad else ()
 
@@ -81,8 +86,17 @@ class Node:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
+    def _spent(self) -> bool:
+        """An op whose parents a `backward` has dropped."""
+        return self._op and self.needs_grad and not self._parents
+
     def __repr__(self) -> str:
-        kind = "leaf" if not self._parents else "op"
+        if self._spent():
+            kind = "spent op"
+        elif self._op:
+            kind = "op"
+        else:
+            kind = "leaf" if self.needs_grad else "constant"
         return f"Node({kind}, shape={self.value.shape}, needs_grad={self.needs_grad})"
 
 
@@ -289,10 +303,17 @@ def layer_norm_rows(m, gain) -> Node:
 def backward(loss: Node) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable trainable leaf.
 
-    The loss must be 1 x 1. Gradients of all nodes on the path are reset
-    before accumulation, so calling backward on a fresh graph is always
-    exact; graphs are not meant to be reused across calls. Contributions
-    are summed out of place: a vjp may return its input or a view of it.
+    The loss must be 1 x 1. Gradients of the leaves on the path are reset
+    before accumulation, so a leaf may feed a fresh graph after an earlier
+    backward. Contributions are summed out of place: a vjp may return its
+    input or a view of it.
+
+    The walk consumes the graph. Once an op node's gradient has been pushed
+    to its parents, the node drops its gradient, parents and vjps, so each
+    activation and interior gradient is freed as soon as nothing upstream
+    needs it. Afterwards every op node's `grad` is None, the loss's
+    included, and only leaves hold gradients. A second backward over any
+    part of a spent graph raises RuntimeError.
     """
     if loss.value.shape != (1, 1):
         raise ShapeError(f"backward: loss must be 1x1, got {loss.value.shape}")
@@ -306,6 +327,8 @@ def backward(loss: Node) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._spent():
+            raise RuntimeError("backward: the graph was consumed by an earlier backward")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -314,11 +337,15 @@ def backward(loss: Node) -> None:
     for node in order:
         node.grad = None
     loss.grad = np.ones((1, 1))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = node.grad
         for parent, vjp in zip(node._parents, node._vjps):
             if parent.needs_grad:
                 parent.grad = vjp(g) if parent.grad is None else parent.grad + vjp(g)
+        if node._op:
+            node.grad = None
+            node._parents = node._vjps = ()
 
 
 def finite_difference_gradients(

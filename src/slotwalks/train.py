@@ -274,8 +274,10 @@ def _loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """The batch loss and its gradient per named parameter.
 
-    The step's graph lives only inside this call, so it is freed before
-    the next step builds its own.
+    The step's graph lives only inside this call, and `ad.backward`
+    consumes it: each activation is freed once its gradient has been
+    pushed on, and only the leaves' gradients, which this returns, outlive
+    the walk.
     """
     lifted_params, lifted_proj = params.lift(ad.leaf), proj.lift(ad.leaf)
     loss = _batch_loss(scenes, indices, lifted_params, lifted_proj, cfg, step)
