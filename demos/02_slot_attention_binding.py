@@ -16,7 +16,7 @@ cfg = SceneConfig(height=8, width=8, classes=3, feature_dim=32, noise_std=0.05)
 scene = generate_scene(cfg, seed=3)
 params = SlotParams.create(num_slots=3, input_dim=32, slot_dim=64, seed=0)
 
-slots = init_slots(params, "eval")
+slots = init_slots(params)
 print("iteration 0: slots start at the learned means")
 for it in range(1, 4):
     state = attention_step(scene.features, slots, params)
@@ -28,7 +28,7 @@ for it in range(1, 4):
 
 print("\nground-truth cells per class:", np.bincount(scene.labels, minlength=3))
 
-slots_hat, state = encode(scene.features, params, iterations=3, mode="eval")
+slots_hat, state = encode(scene.features, params, iterations=3)
 hard = state.attn.value.argmax(axis=1)
 agreement = np.zeros((3, 3), dtype=int)
 for s, c in zip(hard, scene.labels):

@@ -386,7 +386,9 @@ def check_gradients(
     """Max relative error per parameter between graph and finite-difference grads.
 
     Relative error of entries a (graph) and b (finite difference) is
-    |a - b| / max(|a|, |b|, GRAD_ERROR_FLOOR).
+    |a - b| / max(|a|, |b|, GRAD_ERROR_FLOOR). A non-finite error (a NaN
+    or infinite gradient on either side) is reported as inf, so that a
+    max over the errors, or a comparison with a tolerance, cannot drop it.
     """
     nodes = {k: leaf(v) for k, v in params.items()}
     loss = make_loss(nodes)
@@ -396,6 +398,7 @@ def check_gradients(
     for name in params:
         a, b = nodes[name].grad, fd[name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), GRAD_ERROR_FLOOR)
-        out[name] = float(np.max(np.abs(a - b) / denom))
+        err = float(np.max(np.abs(a - b) / denom))
+        out[name] = err if math.isfinite(err) else math.inf
     return out
 

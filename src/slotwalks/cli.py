@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,16 @@ def _grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected HxW, got {text!r}") from None
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+        if 0.0 < tol < math.inf:  # also refuses nan
+            return tol
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="slotwalks", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -96,7 +107,7 @@ def _build_parser() -> _Parser:
     gc.add_argument("--k", type=int, default=3)
     gc.add_argument("--d", type=int, default=8)
     gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--tol", type=float, default=1e-3)
+    gc.add_argument("--tol", type=_tolerance, default=1e-3)
     return parser
 
 

@@ -1,7 +1,7 @@
 """End-to-end gradient verification of the encoder + walk-loss stack.
 
-Builds a random instance, runs the full training loss with train-mode
-slot sampling (so the gradient reaches the slot mean and log-variance),
+Builds a random instance, runs the full training loss with sampled
+initial slots (so the gradient reaches the slot mean and log-variance),
 and compares every parameter's reverse-mode gradient against central
 finite differences.
 """
@@ -29,9 +29,9 @@ def full_model_errors(
     """Max relative gradient error per named parameter on a random instance.
 
     The instance is the trainer's model with width d everywhere (features,
-    slots, walk space), seeded from seed + 1, under the default
-    walk config and a fixed slot-noise seed, so the loss is a
-    deterministic function of the parameters. Keys are the trainer's
+    slots, walk space), seeded from seed + 1, under the default walk
+    config and slot noise drawn once from (seed, 12345), so the loss is
+    a deterministic function of the parameters. Keys are the trainer's
     parameter names, for example "slots.mu".
     """
     rng = np.random.default_rng(seed)
@@ -40,7 +40,7 @@ def full_model_errors(
         num_slots=k, input_dim=d, slot_dim=d, walk_dim=d, iterations=iterations, seed=seed + 1
     )
     params, proj = _init_model(cfg)
-    slot_seed = (seed, 12345)
+    noise = np.random.default_rng((seed, 12345)).standard_normal((k, d))
 
     # the parts-whole-parts target is a detached supervisory signal: the
     # verified gradient is of the loss with the target's feature rows held
@@ -50,7 +50,7 @@ def full_model_errors(
     def make_loss(nodes):
         p, pr = _from_named(nodes)
         x_node = ad.constant(x)
-        slots_hat, _ = encode(x_node, p, cfg.iterations, mode="train", seed=slot_seed)
+        slots_hat, _ = encode(x_node, p, cfg.iterations, noise)
         return total_loss(x_node, slots_hat, pr, cfg.walk(), pwp_frozen_feats=frozen_feats)
 
     return ad.check_gradients(make_loss, _named_parameters(params, proj))

@@ -1,6 +1,6 @@
 """Turning trained parameters plus features into masks and reports.
 
-Inference always uses eval-mode slots (the learned means, no sampling),
+Inference always starts the slots at the learned means (no sampling),
 so identical checkpoints and inputs give bit-identical masks. The soft
 mask of a scene is the parts -> whole transition matrix in walk space;
 hard labels take the argmax slot per cell, ties to the lowest index.
@@ -35,8 +35,8 @@ def _require_labels(scene: Scene, label: str) -> np.ndarray:
 
 
 def _walks(features, params: SlotParams, proj: WalkProjection, cfg: WalkConfig, iterations: int):
-    """Eval-mode (m_sx, m_xs): the K x N and N x K walk matrices of a scene, or their stacks."""
-    slots_hat, _ = encode(features, params, iterations, mode="eval")
+    """(m_sx, m_xs), the K x N and N x K walk matrices of a scene or a stack, from the learned means."""
+    slots_hat, _ = encode(features, params, iterations)
     m_sx, m_xs, _ = adjacency(ad.matmul(slots_hat, proj.p_s), ad.matmul(features, proj.p_x), cfg.tau)
     return m_sx.value, m_xs.value
 

@@ -10,6 +10,8 @@ Parameters may be held as numpy arrays or lifted to autodiff nodes
 (leaves in training, constants in inference); every function here works
 with either. Features may be one scene (N x D) or a stack of scenes with
 equal N (B x N x D); the parameters are shared by every scene of a stack.
+Slot noise comes in as an array drawn by the caller: no random stream
+lives here.
 """
 
 from __future__ import annotations
@@ -147,26 +149,15 @@ class SlotState:
     updates: Any
 
 
-def init_slots(params: SlotParams, mode: str, seed=None):
-    """Initial slots: mu exactly in eval mode, mu + exp(log_sigma) * eps in train mode.
+def init_slots(params: SlotParams, noise=None):
+    """Initial slots: mu exactly when noise is None, else mu + exp(log_sigma) * noise.
 
-    The train-mode draw is reparameterized, so gradients reach both mu and
-    log_sigma; eps is standard normal from the given seed. A list of seeds
-    draws a stack (B x K x d), one seed per scene, each scene's eps the
-    same as its own single-seed draw.
+    noise is standard normal, K x d or a B x K x d stack (one per scene);
+    the draw is reparameterized, so gradients reach both mu and log_sigma.
     """
-    if mode == "eval":
+    if noise is None:
         return params.mu
-    if mode != "train":
-        raise ConfigError(f'init_slots: mode must be "train" or "eval", got {mode!r}')
-    if seed is None or (isinstance(seed, list) and not seed):
-        raise ConfigError("init_slots: train mode requires a seed")
-    shape = _value(params.mu).shape
-    if isinstance(seed, list):
-        eps = np.stack([np.random.default_rng(s).standard_normal(shape) for s in seed])
-    else:
-        eps = np.random.default_rng(seed).standard_normal(shape)
-    return ad.add(params.mu, ad.mul(ad.exp(params.log_sigma), ad.constant(eps)))
+    return ad.add(params.mu, ad.mul(ad.exp(params.log_sigma), ad.constant(noise)))
 
 
 def _attend(keys, values, slots, params: SlotParams) -> SlotState:
@@ -212,20 +203,17 @@ def gru_update(slots, updates, params: SlotParams):
     return ad.add(ad.mul(one_minus_z, slots), ad.mul(z, h))
 
 
-def encode(x, params: SlotParams, iterations: int, mode: str = "train", seed=None):
+def encode(x, params: SlotParams, iterations: int, noise=None):
     """Run the encoder for `iterations` rounds; returns (slots, last state).
 
-    x is one scene (N x D) or a stack (B x N x D); in train mode a stack
-    takes a list of B seeds, one per scene. The feature layer-norm and
-    key/value projections are computed once per encode. With iterations
-    == 0 the initial slots are returned unchanged and the state is None.
+    x is one scene (N x D) or a stack (B x N x D), and noise goes to
+    init_slots as it is. The feature layer-norm and key/value projections
+    are computed once per encode. With iterations == 0 the initial slots
+    are returned unchanged and the state is None.
     """
     if iterations < 0:
         raise ConfigError(f"encode: iterations must be >= 0, got {iterations}")
-    shape = np.shape(_value(x))
-    if mode == "train" and len(shape) == 3 and not (isinstance(seed, list) and len(seed) == shape[0]):
-        raise ConfigError(f"encode: a stack of {shape[0]} scenes needs a list of {shape[0]} seeds")
-    slots = init_slots(params, mode, seed)
+    slots = init_slots(params, noise)
     state: SlotState | None = None
     if iterations > 0:
         keys, values = _project_features(x, params)

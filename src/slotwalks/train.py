@@ -251,15 +251,17 @@ def _batch_loss(
 ) -> ad.Node:
     """Mean scene loss of the batch, from one encode and one total_loss per group of equal-N scenes.
 
-    Batch position pos draws its slot noise from (cfg.seed, step, pos).
+    Batch position pos draws its K x d standard-normal slot noise from
+    (cfg.seed, step, pos), whatever group it falls in.
     """
     walk = cfg.walk()
     batch = [scenes[int(i)] for i in indices]
+    shape = (cfg.num_slots, cfg.slot_dim)
     group_losses = []
     for group in group_by_cells(batch):
         x = ad.constant(np.stack([batch[pos].features for pos in group]))
-        seeds = [(cfg.seed, step, pos) for pos in group]
-        slots_hat, _ = encode(x, lifted_params, cfg.iterations, mode="train", seed=seeds)
+        noise = [np.random.default_rng((cfg.seed, step, pos)).standard_normal(shape) for pos in group]
+        slots_hat, _ = encode(x, lifted_params, cfg.iterations, np.stack(noise))
         group_losses.append(total_loss(x, slots_hat, lifted_proj, walk))
     return ad.mul(functools.reduce(ad.add, group_losses), 1.0 / len(indices))
 

@@ -37,8 +37,9 @@ _NO_THRESHOLD = float("-inf")
 class WalkConfig:
     """Hyperparameters of the walk losses.
 
-    gamma may be -inf (no threshold) or a finite value in (-1, 1); alpha
-    weights the whole-parts-whole term and beta the parts-whole-parts term.
+    tau is finite and positive; gamma may be -inf (no threshold) or a
+    finite value in (-1, 1); alpha weights the whole-parts-whole term and
+    beta the parts-whole-parts term, both finite and non-negative.
     """
 
     tau: float = 0.1
@@ -47,11 +48,13 @@ class WalkConfig:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ConfigError(f"WalkConfig: tau must be positive, got {self.tau}")
-        if self.alpha < 0.0 or self.beta < 0.0:
+        # the chained comparisons also refuse NaN, which compares False
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"WalkConfig: tau must be finite and positive, got {self.tau}")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
             raise ConfigError(
-                f"WalkConfig: negative loss coefficient alpha={self.alpha}, beta={self.beta}"
+                "WalkConfig: loss coefficients must be finite and non-negative,"
+                f" got alpha={self.alpha}, beta={self.beta}"
             )
         if self.alpha + self.beta <= 0.0:
             raise ConfigError("WalkConfig: alpha + beta must be positive")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import slotwalks
+from slotwalks import autodiff as ad
 from slotwalks.cli import main
 from slotwalks.data import read_feature_file
 
@@ -277,6 +278,26 @@ class TestGradcheck:
                    "--tol", "1e-12"])
         assert rc == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_gradient_error_fails(self, monkeypatch, capsys):
+        finite_differences = ad.finite_difference_gradients
+
+        def nan_in_w_k(make_loss, params):
+            grads = finite_differences(make_loss, params)
+            grads["slots.w_k"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(ad, "finite_difference_gradients", nan_in_w_k)
+        rc = main(["gradcheck", "--n", "6", "--k", "2", "--d", "4", "--seed", "5"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "qkv\tinf" in out.splitlines() and "FAIL" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.001"])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--n", "6", "--k", "2", "--d", "4", "--tol", tol])
+        assert exc.value.code == 1
 
     def test_fixed_seed_reproducible_output(self, capsys):
         assert main(["gradcheck", "--n", "6", "--k", "2", "--d", "4", "--seed", "5"]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slotwalks import autodiff as ad
-from slotwalks.errors import ConfigError
+from slotwalks.errors import ConfigError, ShapeError
 from slotwalks.slots import EPS_ATTN, SlotParams, attention_step, encode, gru_update, init_slots
 
 
@@ -68,44 +68,21 @@ class TestInitSlots:
     def test_tiny_sigma_collapses_to_mu(self):
         p = make_params(3, 4, 4)
         p = dataclasses.replace(p, log_sigma=np.full((3, 4), -30.0))
-        out = as_value(init_slots(p, "train", seed=5))
+        out = as_value(init_slots(p, np.random.default_rng(5).standard_normal((3, 4))))
         assert np.max(np.abs(out - p.mu)) <= 1e-10
 
     def test_eval_mode_returns_mu_exactly(self):
         p = make_params(2, 4, 6)
-        assert np.array_equal(as_value(init_slots(p, "eval")), p.mu)
-
-    def test_same_seed_bit_identical(self):
-        p = make_params(4, 4, 8)
-        a = as_value(init_slots(p, "train", seed=11))
-        b = as_value(init_slots(p, "train", seed=11))
-        assert np.array_equal(a, b)
-
-    def test_train_mode_requires_seed(self):
-        with pytest.raises(ConfigError):
-            init_slots(make_params(2, 4, 4), "train")
-        with pytest.raises(ConfigError):
-            init_slots(make_params(2, 4, 4), "train", seed=[])
-
-    def test_seed_list_draws_each_scene_as_alone(self):
-        p = make_params(3, 4, 5)
-        seeds = [(7, 0, 0), (7, 0, 1), (7, 0, 2)]
-        stack = as_value(init_slots(p, "train", seed=seeds))
-        assert stack.shape == (3, 3, 5)
-        for i, seed in enumerate(seeds):
-            assert np.array_equal(stack[i], as_value(init_slots(p, "train", seed=seed)))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            init_slots(make_params(2, 4, 4), "sample")
+        assert np.array_equal(as_value(init_slots(p)), p.mu)
 
     def test_gradient_reaches_mu_and_log_sigma(self):
         p = make_params(2, 4, 3)
         params = {"mu": p.mu, "log_sigma": p.log_sigma}
+        noise = np.random.default_rng(3).standard_normal((2, 3))
 
         def make_loss(nodes):
             q = dataclasses.replace(p, mu=nodes["mu"], log_sigma=nodes["log_sigma"])
-            s = init_slots(q, "train", seed=3)
+            s = init_slots(q, noise)
             return ad.sum_all(ad.mul(s, s))
 
         errors = ad.check_gradients(make_loss, params)
@@ -207,7 +184,7 @@ class TestGruUpdate:
 class TestEncode:
     def test_zero_iterations_returns_initial(self):
         p = make_params(3, 4, 5, seed=12)
-        slots, state = encode(np.random.default_rng(13).normal(size=(7, 4)), p, 0, mode="eval")
+        slots, state = encode(np.random.default_rng(13).normal(size=(7, 4)), p, 0)
         assert np.array_equal(as_value(slots), p.mu)
         assert state is None
 
@@ -215,7 +192,7 @@ class TestEncode:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(6, 4))
         p = make_params(2, 4, 4, seed=15)
-        slots, _ = encode(x, p, 1, mode="eval")
+        slots, _ = encode(x, p, 1)
         state = attention_step(x, p.mu, p)
         composed = gru_update(p.mu, state.updates, p)
         assert np.array_equal(as_value(slots), as_value(composed))
@@ -224,32 +201,34 @@ class TestEncode:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(8, 4))
         p = make_params(3, 4, 4, seed=17)
-        a, _ = encode(x, p, 3, mode="train", seed=99)
-        b, _ = encode(x, p, 3, mode="train", seed=99)
+        noise = np.random.default_rng(99).standard_normal((3, 4))
+        a, _ = encode(x, p, 3, noise)
+        b, _ = encode(x, p, 3, noise)
         assert np.array_equal(as_value(a), as_value(b))
 
     def test_stack_needs_one_seed_per_scene(self):
         p = make_params(2, 4, 4)
         x = np.ones((3, 5, 4))
-        for seed in (0, (0, 1), [0, 1]):
-            with pytest.raises(ConfigError, match="3 seeds"):
-                encode(x, p, 1, mode="train", seed=seed)
+        for scenes in (2, 4):
+            noise = np.random.default_rng(0).standard_normal((scenes, 2, 4))
+            with pytest.raises(ShapeError, match="do not broadcast"):
+                encode(x, p, 1, noise)
 
     def test_stack_matches_per_scene_encodes(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(3, 7, 4))
         p = make_params(2, 4, 6)
-        seeds = [(1, 2, pos) for pos in range(3)]
-        for mode, seed in (("train", seeds), ("eval", None)):
-            stacked, _ = encode(x, p, 3, mode=mode, seed=seed)
+        draws = np.stack([np.random.default_rng((1, 2, pos)).standard_normal((2, 6)) for pos in range(3)])
+        for noise in (draws, None):
+            stacked, _ = encode(x, p, 3, noise)
             for i in range(3):
-                alone, _ = encode(x[i], p, 3, mode=mode, seed=seeds[i] if seed else None)
+                alone, _ = encode(x[i], p, 3, None if noise is None else noise[i])
                 assert np.allclose(as_value(stacked)[i], as_value(alone), rtol=0, atol=1e-12)
 
     def test_negative_iterations_rejected(self):
         p = make_params(2, 4, 4)
         with pytest.raises(ConfigError):
-            encode(np.ones((4, 4)), p, -1, mode="eval")
+            encode(np.ones((4, 4)), p, -1)
 
     def test_slot_permutation_equivariance(self):
         rng = np.random.default_rng(18)
@@ -257,8 +236,8 @@ class TestEncode:
         p = make_params(4, 6, 5, seed=19)
         perm = np.array([2, 0, 3, 1])
         p_perm = dataclasses.replace(p, mu=p.mu[perm], log_sigma=p.log_sigma[perm])
-        base, _ = encode(x, p, 3, mode="eval")
-        permuted, _ = encode(x, p_perm, 3, mode="eval")
+        base, _ = encode(x, p, 3)
+        permuted, _ = encode(x, p_perm, 3)
         assert np.max(np.abs(as_value(permuted) - as_value(base)[perm])) <= 1e-10
 
 
@@ -269,11 +248,12 @@ class TestEncoderGradients:
         x = rng.normal(size=(12, 8))
         p = make_params(3, 8, 8, seed=21)
         weight = rng.normal(size=(3, 8))
+        noise = np.random.default_rng((22, 0)).standard_normal((3, 8))
         base = p.named()
 
         def make_loss(nodes):
             q = SlotParams(**nodes)
-            slots, _ = encode(ad.constant(x), q, 2, mode="train", seed=(22, 0))
+            slots, _ = encode(ad.constant(x), q, 2, noise)
             return ad.sum_all(ad.mul(slots, ad.constant(weight)))
 
         errors = ad.check_gradients(make_loss, base)

@@ -152,9 +152,10 @@ class TestAdamW:
 
 
 def scene_loss(scene, params, proj, cfg, seed):
-    """One scene's loss on its own, as 2-D matrices."""
+    """One scene's loss on its own, as 2-D matrices, with slot noise drawn from seed."""
     x = ad.constant(scene.features)
-    slots_hat, _ = encode(x, params, cfg.iterations, mode="train", seed=seed)
+    noise = np.random.default_rng(seed).standard_normal((cfg.num_slots, cfg.slot_dim))
+    slots_hat, _ = encode(x, params, cfg.iterations, noise)
     return total_loss(x, slots_hat, proj, cfg.walk())
 
 
@@ -165,7 +166,9 @@ class TestBatchedLoss:
         params, proj = (m.lift(ad.leaf) for m in _init_model(cfg))
         seeds = [(cfg.seed, 3, pos) for pos in range(5)]
         x = ad.constant(np.stack([s.features for s in scenes]))
-        slots_hat, _ = encode(x, params, cfg.iterations, mode="train", seed=seeds)
+        shape = (cfg.num_slots, cfg.slot_dim)
+        noise = np.stack([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
+        slots_hat, _ = encode(x, params, cfg.iterations, noise)
         stacked = total_loss(x, slots_hat, proj, cfg.walk())
         ad.backward(stacked)
         stacked_grads = {k: n.grad.copy() for k, n in _named_parameters(params, proj).items()}

@@ -179,6 +179,12 @@ class TestWalkConfig:
             {"gamma": 1.0},
             {"gamma": 1.5},
             {"gamma": -2.0},
+            {"tau": float("inf")},
+            {"alpha": float("nan")},
+            {"beta": float("nan")},
+            {"alpha": float("nan"), "beta": float("nan")},
+            {"alpha": float("inf")},
+            {"beta": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
