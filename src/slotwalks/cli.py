@@ -69,13 +69,23 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
 
 
+def _count(text: str) -> int:
+    try:
+        count = int(text)
+        if count >= 1:
+            return count
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="slotwalks", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate synthetic scene files")
     gen.add_argument("--out", required=True, help="output directory for NNNN.ocwf files")
-    gen.add_argument("--scenes", type=int, default=200)
+    gen.add_argument("--scenes", type=_count, default=200)
     gen.add_argument("--grid", type=_grid, default=(8, 8), help="grid as HxW (default 8x8)")
     gen.add_argument("--classes", type=int, default=3)
     gen.add_argument("--dim", type=int, default=32)

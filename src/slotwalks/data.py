@@ -14,6 +14,7 @@ a file round-trips byte-for-byte once written.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -57,12 +58,18 @@ class SceneConfig:
     def __post_init__(self):
         if self.classes < 1:
             raise ConfigError(f"SceneConfig: classes must be >= 1, got {self.classes}")
+        if self.height < 1 or self.width < 1:
+            raise ConfigError(f"SceneConfig: grid {self.height}x{self.width} must be at least 1x1")
         if self.height * self.width < self.classes:
             raise ConfigError(
                 f"SceneConfig: grid {self.height}x{self.width} cannot hold {self.classes} classes"
             )
-        if self.noise_std < 0.0:
-            raise ConfigError(f"SceneConfig: noise_std must be >= 0, got {self.noise_std}")
+        if not 0.0 <= self.noise_std < math.inf:  # also refuses nan
+            raise ConfigError(f"SceneConfig: noise_std must be finite and >= 0, got {self.noise_std}")
+        if not math.isfinite(self.mean_separation_deg):
+            raise ConfigError(
+                f"SceneConfig: mean_separation_deg must be finite, got {self.mean_separation_deg}"
+            )
         if self.feature_dim < 1:
             raise ConfigError(f"SceneConfig: feature_dim must be >= 1, got {self.feature_dim}")
         if self.layout not in LAYOUTS:
@@ -132,9 +139,16 @@ def _layout_voronoi(cfg: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     return np.argmin(d2, axis=1).astype(np.int64)
 
 
+@functools.cache
 def class_means(cfg: SceneConfig) -> np.ndarray:
-    """The C x D unit mean directions shared by every scene of this config."""
-    return _sample_mean_directions(cfg, np.random.default_rng((cfg.mean_seed, 0x4D45414E)))
+    """The C x D unit mean directions shared by every scene of this config.
+
+    Drawn once per config; the array is read-only because every caller
+    with an equal config shares it.
+    """
+    means = _sample_mean_directions(cfg, np.random.default_rng((cfg.mean_seed, 0x4D45414E)))
+    means.flags.writeable = False
+    return means
 
 
 def generate_scene(cfg: SceneConfig, seed) -> Scene:

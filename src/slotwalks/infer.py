@@ -23,15 +23,19 @@ from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, adjacency
 
 
-def _sorted_scenes(scenes: Sequence[Scene]) -> list[Scene]:
-    # pooling and report order is fixed by scene name when present
-    return sorted(scenes, key=lambda s: (s.name is None, s.name or ""))
+def _prelude(scenes: Sequence[Scene], params: SlotParams, proj: WalkProjection, who: str):
+    """(scenes in name order, their labels, params and proj lifted as constants).
 
-
-def _require_labels(scene: Scene, label: str) -> np.ndarray:
-    if scene.labels is None:
-        raise UndefinedMetricError(f"{label}: scene has no ground-truth labels")
-    return scene.labels
+    The order fixes pooling and report rows; every scene must carry labels
+    and match the model's feature width.
+    """
+    ordered = sorted(scenes, key=lambda s: (s.name is None, s.name or ""))
+    for i, scene in enumerate(ordered):
+        if scene.labels is None:
+            raise UndefinedMetricError(f"{who}: scene {scene.name or i} has no ground-truth labels")
+    check_feature_width(ordered, params.input_dim, who)
+    labels = [np.asarray(s.labels) for s in ordered]
+    return ordered, labels, params.lift(ad.constant), proj.lift(ad.constant)
 
 
 def _walks(features, params: SlotParams, proj: WalkProjection, cfg: WalkConfig, iterations: int):
@@ -96,15 +100,11 @@ def foreground_select(
 
 
 def _evaluate(report: EvalReport, score, scenes, params, proj, cfg, iterations: int) -> EvalReport:
-    """One row per scene from score(hard slot labels, ground-truth labels), then the mean."""
-    ordered = _sorted_scenes(scenes)
-    labels = [_require_labels(s, f"evaluate {report.task}: scene {i}") for i, s in enumerate(ordered)]
-    check_feature_width(ordered, params.input_dim, f"evaluate {report.task}")
-    params, proj = params.lift(ad.constant), proj.lift(ad.constant)
+    """One row per scene from score(hard slot labels, ground-truth labels)."""
+    ordered, labels, params, proj = _prelude(scenes, params, proj, f"evaluate {report.task}")
     masks = _per_scene(ordered, lambda x: slot_masks(x, params, proj, cfg, iterations))
     for i, scene in enumerate(ordered):
         report.add(scene.name or str(i), score(masks[i][1], labels[i]))
-    report.finalize_mean()
     return report
 
 
@@ -161,56 +161,41 @@ def semantic_segment(
     """
     if num_classes < 1:
         raise ConfigError(f"semantic_segment: num_classes must be >= 1, got {num_classes}")
-    ordered = _sorted_scenes(scenes)
-    gt_all: list[np.ndarray] = []
-    for i, scene in enumerate(ordered):
-        labels = np.asarray(_require_labels(scene, f"semantic_segment: scene {i}"))
-        outside = (labels < 0) | (labels >= num_classes)
-        if outside.any():
+    ordered, gt_all, params, proj = _prelude(scenes, params, proj, "semantic_segment")
+    for i, (scene, labels) in enumerate(zip(ordered, gt_all)):
+        outside = labels[(labels < 0) | (labels >= num_classes)]
+        if outside.size:
             raise ConfigError(
                 f"semantic_segment: scene {scene.name or i} has label"
-                f" {int(labels[outside][0])} outside [0, {num_classes})"
+                f" {int(outside[0])} outside [0, {num_classes})"
             )
-        gt_all.append(labels)
-    check_feature_width(ordered, params.input_dim, "semantic_segment")
-    params, proj = params.lift(ad.constant), proj.lift(ad.constant)
+    k = params.num_slots
+    if len(ordered) * k < num_classes:
+        raise ConfigError(
+            f"semantic_segment: only {len(ordered) * k} pooled vectors for"
+            f" {num_classes} classes"
+        )
 
     def pool_and_bind(x):
         m_sx, m_xs = _walks(x, params, proj, cfg, iterations)
         return m_sx @ x, np.argmax(m_xs, axis=-1)
 
     pooled, cell_slot = zip(*_per_scene(ordered, pool_and_bind))
-    pool = np.concatenate(pooled, axis=0)
-    if pool.shape[0] < num_classes:
-        raise ConfigError(
-            f"semantic_segment: only {pool.shape[0]} pooled vectors for"
-            f" {num_classes} classes"
-        )
-    _, cluster_of = kmeans(pool, num_classes, seed=0)
+    _, cluster_of = kmeans(np.concatenate(pooled, axis=0), num_classes, seed=0)
+    pred = np.concatenate([cluster_of[i * k + slots] for i, slots in enumerate(cell_slot)])
 
-    k = params.num_slots
-    pred_cluster = np.concatenate(
-        [cluster_of[i * k + slots] for i, slots in enumerate(cell_slot)]
-    )
-    gt = np.concatenate(gt_all)
-
-    score = np.zeros((num_classes, num_classes))
-    for c in range(num_classes):
-        for g in range(num_classes):
-            score[c, g] = miou(pred_cluster == c, gt == g)
+    # joint[c, g] counts the cells of cluster c and class g; an empty union scores 1, as in miou
+    gt = np.concatenate(gt_all).astype(np.int64)  # labels of any numeric dtype, checked in range above
+    joint = np.bincount(pred * num_classes + gt, minlength=num_classes**2)
+    joint = joint.reshape(num_classes, num_classes)
+    union = joint.sum(axis=1, keepdims=True) + joint.sum(axis=0) - joint
+    score = np.divide(joint, union, out=np.ones(joint.shape), where=union > 0)
     assignment = assign_classes(score)
 
+    # a square score matrix assigns every class to one cluster
     report = EvalReport(task="semantic", columns=["iou"], assignment=assignment)
-    class_to_cluster = {g: c for c, g in assignment}
-    ious = []
-    for g in range(num_classes):
-        if g in class_to_cluster:
-            value = float(score[class_to_cluster[g], g])
-        else:
-            value = 0.0
-        ious.append(value)
-        report.add(f"class_{g}", {"iou": value})
-    report.summary = {"iou": float(np.mean(ious))}
+    for c, g in sorted(assignment, key=lambda pair: pair[1]):
+        report.add(f"class_{g}", {"iou": float(score[c, g])})
     return report
 
 
@@ -221,6 +206,8 @@ def write_mask_pgm(labels, height: int, width: int, path, num_labels: int | None
     is above 1, else 0; labels must stay below 256 and below num_labels.
     """
     labels = np.asarray(labels)
+    if height < 1 or width < 1:
+        raise ShapeError(f"write_mask_pgm: a {height}x{width} grid has no cells")
     if labels.ndim != 1 or labels.size != height * width:
         raise ShapeError(
             f"write_mask_pgm: {labels.shape} labels do not fill a {height}x{width} grid"
@@ -234,8 +221,6 @@ def write_mask_pgm(labels, height: int, width: int, path, num_labels: int | None
     if labels.max() >= 256:
         raise DataFormatError("write_mask_pgm: label overflow, ids must stay below 256")
     step = 255 // (num_labels - 1) if num_labels > 1 else 0
-    values = (labels * step).astype(np.int64)
-    if values.max() > 255:
-        raise DataFormatError("write_mask_pgm: scaled label overflows 8-bit range")
+    values = (labels * step).astype(np.uint8)
     header = f"P5\n{width} {height}\n255\n".encode()
-    write_bytes_atomic(path, header + values.astype(np.uint8).tobytes())
+    write_bytes_atomic(path, header + values.tobytes())

@@ -187,27 +187,24 @@ def kmeans(
 
 @dataclass
 class EvalReport:
-    """Per-item metric rows plus an aggregate summary.
+    """Per-item metric rows; the summary is their column-wise mean.
 
-    For the per-image tasks the summary is the arithmetic mean over
-    images; for semantic segmentation the rows are per-class IoUs and the
-    summary averages over classes.
+    For the per-image tasks the rows are images; for semantic
+    segmentation they are per-class IoUs, so the summary averages over
+    classes.
     """
 
     task: str
     columns: list[str]
     rows: list[tuple[str, dict[str, float]]] = field(default_factory=list)
-    summary: dict[str, float] = field(default_factory=dict)
     assignment: list[tuple[int, int]] | None = None
 
     def add(self, label: str, values: dict[str, float]) -> None:
         self.rows.append((label, values))
 
-    def finalize_mean(self) -> None:
-        """Summary = column-wise arithmetic mean of the rows."""
-        self.summary = {
-            c: float(np.mean([v[c] for _, v in self.rows])) for c in self.columns
-        }
+    @property
+    def summary(self) -> dict[str, float]:
+        return {c: float(np.mean([v[c] for _, v in self.rows])) for c in self.columns}
 
     def to_text(self) -> str:
         lines = [f"# task={self.task}"]
@@ -217,7 +214,6 @@ class EvalReport:
         lines.append("\t".join(["item"] + self.columns))
         for label, values in self.rows:
             lines.append("\t".join([label] + [f"{values[c]:.6f}" for c in self.columns]))
-        lines.append(
-            "\t".join(["mean"] + [f"{self.summary[c]:.6f}" for c in self.columns])
-        )
+        summary = self.summary
+        lines.append("\t".join(["mean"] + [f"{summary[c]:.6f}" for c in self.columns]))
         return "\n".join(lines) + "\n"

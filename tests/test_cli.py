@@ -87,6 +87,19 @@ class TestGen:
             main(["gen", "--out", str(tmp_path), "--grid", "4by4"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_scene_count_must_be_positive(self, tmp_path, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--out", str(tmp_path / "x"), "--scenes", count])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("flag", ["--grid=-2x-3", "--noise=nan", "--noise=inf", "--separation=nan"])
+    def test_invalid_scene_config_is_data_error(self, tmp_path, capsys, flag):
+        rc = main(["gen", "--out", str(tmp_path / "x"), "--scenes", "1", flag])
+        assert rc == 2
+        assert "SceneConfig" in capsys.readouterr().err
+        assert not list((tmp_path / "x").glob("*.ocwf"))
+
     def test_infeasible_separation_is_data_error(self, tmp_path, capsys):
         rc = main(["gen", "--out", str(tmp_path / "x"), "--scenes", "1", "--grid", "4x4",
                    "--classes", "10", "--dim", "2", "--noise", "0.1", "--seed", "0"])

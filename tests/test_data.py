@@ -10,6 +10,7 @@ from slotwalks.data import (
     FORMAT_VERSION,
     Scene,
     SceneConfig,
+    class_means,
     generate_scene,
     load_dataset,
     read_feature_file,
@@ -30,6 +31,21 @@ class TestSceneConfig:
     def test_unknown_layout(self):
         with pytest.raises(ConfigError):
             SceneConfig(layout="spiral")
+
+    @pytest.mark.parametrize("height, width, classes", [(-2, -3, 3), (-1, -1, 1)])
+    def test_grid_below_one_cell_per_side(self, height, width, classes):
+        with pytest.raises(ConfigError, match="must be at least 1x1"):
+            SceneConfig(height=height, width=width, classes=classes)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_noise_must_be_finite(self, noise):
+        with pytest.raises(ConfigError, match="noise_std must be finite"):
+            SceneConfig(noise_std=noise)
+
+    @pytest.mark.parametrize("degrees", [float("nan"), float("inf"), float("-inf")])
+    def test_separation_must_be_finite(self, degrees):
+        with pytest.raises(ConfigError, match="mean_separation_deg must be finite"):
+            SceneConfig(mean_separation_deg=degrees)
 
 
 class TestGenerateScene:
@@ -67,6 +83,12 @@ class TestGenerateScene:
         other = SceneConfig(noise_std=0.0, mean_seed=9)
         c_scene = generate_scene(other, seed=1)
         assert not np.allclose(a.features[a.labels == 0][0], c_scene.features[c_scene.labels == 0][0])
+
+    def test_class_means_are_shared_and_read_only(self):
+        means = class_means(SceneConfig())
+        assert class_means(SceneConfig()) is means
+        with pytest.raises(ValueError):
+            means[0, 0] = 1.0
 
     def test_all_classes_present(self):
         cfg = SceneConfig(height=8, width=8, classes=4)

@@ -150,6 +150,24 @@ class TestTaskEvaluators:
             semantic_segment([scene], params, proj, cfg, 2, num_classes=2)
 
     @pytest.mark.parametrize(
+        "evaluate, who",
+        [
+            (evaluate_foreground, "evaluate fg"),
+            (evaluate_discovery, "evaluate discovery"),
+            (lambda *args: semantic_segment(*args, num_classes=2), "semantic_segment"),
+        ],
+        ids=["fg", "discovery", "semantic"],
+    )
+    def test_missing_labels_error_names_the_file(self, evaluate, who):
+        params, proj, cfg = toy_model()
+        scenes = stacked_scenes(4, 4, 2, count=3)
+        for i, s in enumerate(scenes):
+            s.name = f"{i:04d}.ocwf"
+        scenes[2].labels = None
+        with pytest.raises(UndefinedMetricError, match=rf"^{who}: scene 0002\.ocwf has no ground-truth labels$"):
+            evaluate(scenes, params, proj, cfg, 2)
+
+    @pytest.mark.parametrize(
         "evaluate",
         [evaluate_foreground, evaluate_discovery, lambda *args: semantic_segment(*args, num_classes=2)],
         ids=["fg", "discovery", "semantic"],
@@ -175,6 +193,42 @@ class TestSemanticSegment:
         scene = generate_scene(SceneConfig(height=4, width=4, classes=2, feature_dim=8), seed=0)
         with pytest.raises(ConfigError):
             semantic_segment([scene], params, proj, cfg, iterations=2, num_classes=5)
+
+    def test_pooled_vector_count_refused_before_any_forward_pass(self, monkeypatch):
+        params, proj, cfg = toy_model(num_slots=2)
+        scene = generate_scene(SceneConfig(height=4, width=4, classes=2, feature_dim=8), seed=0)
+
+        def no_forward(*args, **kwargs):
+            raise RuntimeError("encode called")
+
+        monkeypatch.setattr(infer, "encode", no_forward)
+        with pytest.raises(ConfigError, match=r"only 2 pooled vectors for 5 classes"):
+            semantic_segment([scene], params, proj, cfg, iterations=2, num_classes=5)
+
+    def test_report_with_an_empty_class_is_pinned(self):
+        # labels use 3 of 4 classes; the empty cluster against the empty class 3 scores 1
+        params, proj, cfg = toy_model(num_slots=3, seed=3)
+        scenes = [generate_scene(SceneConfig(height=4, width=4, classes=3, feature_dim=8), seed=i) for i in range(3)]
+        for i, s in enumerate(scenes):
+            s.name = f"{i:04d}.ocwf"
+        report = semantic_segment(scenes, params, proj, cfg, iterations=2, num_classes=4)
+        assert report.to_text() == (
+            "# task=semantic\n"
+            "# assignment 0->2 1->3 2->0 3->1\n"
+            "item\tiou\n"
+            "class_0\t0.285714\n"
+            "class_1\t0.272727\n"
+            "class_2\t0.210526\n"
+            "class_3\t1.000000\n"
+            "mean\t0.442242\n"
+        )
+
+    def test_float_labels_score_as_their_integers(self):
+        params, proj, cfg = toy_model(num_slots=3)
+        scenes = stacked_scenes(4, 4, 3, count=3)
+        as_float = [Scene(s.features, s.labels.astype(np.float64)) for s in scenes]
+        expected = semantic_segment(scenes, params, proj, cfg, iterations=2, num_classes=3).to_text()
+        assert semantic_segment(as_float, params, proj, cfg, iterations=2, num_classes=3).to_text() == expected
 
     def test_label_outside_classes_rejected(self):
         params, proj, cfg = toy_model(num_slots=2)
@@ -230,3 +284,8 @@ class TestWriteMaskPgm:
     def test_grid_mismatch(self, tmp_path):
         with pytest.raises(ShapeError):
             write_mask_pgm(np.zeros(5, dtype=int), 2, 3, tmp_path / "g.pgm")
+
+    @pytest.mark.parametrize("height, width, cells", [(0, 3, 0), (-2, -3, 6)])
+    def test_grid_without_cells(self, tmp_path, height, width, cells):
+        with pytest.raises(ShapeError, match="has no cells"):
+            write_mask_pgm(np.zeros(cells, dtype=int), height, width, tmp_path / "e.pgm", num_labels=1)

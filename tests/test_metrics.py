@@ -221,10 +221,18 @@ class TestEvalReport:
         report = EvalReport(task="fg", columns=["miou", "dice"])
         report.add("0000.ocwf", {"miou": 1.0, "dice": 1.0})
         report.add("0001.ocwf", {"miou": 0.5, "dice": 2 / 3})
-        report.finalize_mean()
         text = report.to_text()
         lines = text.strip().split("\n")
         assert lines[0] == "# task=fg"
         assert lines[1] == "item\tmiou\tdice"
         assert lines[-1].startswith("mean\t0.750000")
         assert abs(report.summary["miou"] - 0.75) <= 1e-12
+
+    def test_summary_is_the_read_only_mean_of_the_rows(self):
+        report = EvalReport(task="discovery", columns=["ari_fg"])
+        report.add("a", {"ari_fg": 1.0})
+        assert report.summary == {"ari_fg": 1.0}
+        report.add("b", {"ari_fg": 0.0})
+        assert report.summary == {"ari_fg": 0.5}
+        with pytest.raises(AttributeError):
+            report.summary = {"ari_fg": 1.0}
