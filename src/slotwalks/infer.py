@@ -29,6 +29,8 @@ def _prelude(scenes: Sequence[Scene], params: SlotParams, proj: WalkProjection, 
     The order fixes pooling and report rows; every scene must carry labels
     and match the model's feature width.
     """
+    if not scenes:
+        raise ConfigError(f"{who}: no scenes")
     ordered = sorted(scenes, key=lambda s: (s.name is None, s.name or ""))
     for i, scene in enumerate(ordered):
         if scene.labels is None:

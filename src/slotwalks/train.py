@@ -31,7 +31,7 @@ from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, total_loss
 
 CHECKPOINT_MAGIC = b"OCWC"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # a checkpoint starts: magic, version, sha256 of every byte after it
 _CHECKPOINT_PREFIX = struct.Struct("<4sI32s")
 # then: step, Adam step, config-text length; the config text; the arrays
@@ -41,6 +41,10 @@ _CHECKPOINT_SCALARS = struct.Struct("<QQI")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the fixed optimizer recipe: gradient-norm clip, weight decay, lr half-life
+CLIP_NORM = 1.0
+WEIGHT_DECAY = 0.01
+LR_HALF_LIFE_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,7 @@ class TrainConfig:
     base_lr: float = 0.0004
     warmup_steps: int = 200
     total_steps: int = 2000
-    decay_half_life_steps: int = 100_000
-    clip_norm: float = 1.0
     batch_size: int = 16
-    weight_decay: float = 0.01
     seed: int = 0
     checkpoint_interval: int = 0
 
@@ -72,10 +73,9 @@ class TrainConfig:
             # gamma = -inf means "no threshold"; WalkConfig checks gamma's range
             if isinstance(v, float) and not math.isfinite(v) and f.name != "gamma":
                 raise ConfigError(f"TrainConfig: {f.name} must be finite, got {v}")
-            if isinstance(v, int) and v < 0:
+            if (isinstance(v, int) or f.name == "base_lr") and v < 0:
                 raise ConfigError(f"TrainConfig: {f.name} must be >= 0, got {v}")
-        for name in ("num_slots", "input_dim", "slot_dim", "walk_dim", "total_steps", "batch_size",
-                     "decay_half_life_steps"):
+        for name in ("num_slots", "input_dim", "slot_dim", "walk_dim", "total_steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"TrainConfig: {name} must be >= 1, got {getattr(self, name)}")
         if self.warmup_steps > self.total_steps:
@@ -83,10 +83,6 @@ class TrainConfig:
                 f"TrainConfig: warmup_steps {self.warmup_steps} exceeds"
                 f" total_steps {self.total_steps}"
             )
-        if self.clip_norm <= 0.0:
-            raise ConfigError(f"TrainConfig: clip_norm must be positive, got {self.clip_norm}")
-        if self.base_lr < 0.0 or self.weight_decay < 0.0:
-            raise ConfigError("TrainConfig: base_lr and weight_decay must be >= 0")
         self.walk()  # validates tau / gamma / alpha / beta
 
     def walk(self) -> WalkConfig:
@@ -141,12 +137,12 @@ def parse_config_text(text: str, source: str = "config") -> TrainConfig:
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
-    """Linear warmup to base_lr, then exponential half-life decay."""
+    """Linear warmup to base_lr, then halving every LR_HALF_LIFE_STEPS steps."""
     if step < 0:
         raise ConfigError(f"lr_at: step must be >= 0, got {step}")
     if step < cfg.warmup_steps:
         return cfg.base_lr * step / cfg.warmup_steps
-    return cfg.base_lr * 0.5 ** ((step - cfg.warmup_steps) / cfg.decay_half_life_steps)
+    return cfg.base_lr * 0.5 ** ((step - cfg.warmup_steps) / LR_HALF_LIFE_STEPS)
 
 
 def clip_grad_norm(
@@ -356,10 +352,10 @@ def train(
             indices = rng.choice(len(scenes), size=cfg.batch_size, replace=replace)
 
             loss_value, grads = _loss_and_grads(scenes, indices, params, proj, cfg, step)
-            grads, norm = clip_grad_norm(grads, cfg.clip_norm, step)
+            grads, norm = clip_grad_norm(grads, CLIP_NORM, step)
             _, post_norm = clip_grad_norm(grads, np.inf)
             lr = lr_at(step, cfg)
-            adamw_step(_named_parameters(params, proj), grads, opt, lr, cfg.weight_decay)
+            adamw_step(_named_parameters(params, proj), grads, opt, lr, WEIGHT_DECAY)
 
             result.losses.append(loss_value)
             result.lrs.append(lr)

@@ -285,8 +285,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, capsys):
 
 def test_criterion_8_schedule_conformance(toy_run):
     full_scale = TrainConfig(
-        num_slots=4, input_dim=32, base_lr=0.0004, warmup_steps=5000,
-        total_steps=250_000, decay_half_life_steps=100_000,
+        num_slots=4, input_dim=32, base_lr=0.0004, warmup_steps=5000, total_steps=250_000,
     )
     assert lr_at(0, full_scale) == 0.0
     assert lr_at(5000, full_scale) == 0.0004

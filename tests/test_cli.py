@@ -142,7 +142,7 @@ class TestTrain:
         assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "bad", ["alpha = nan", "alpha = nan\nbeta = nan", "clip_norm = nan", "checkpoint_interval = -5"]
+        "bad", ["alpha = nan", "alpha = nan\nbeta = nan", "base_lr = nan", "checkpoint_interval = -5"]
     )
     def test_bad_value_rejected_naming_the_config_file(self, tmp_path, capsys, bad):
         data = gen_data(tmp_path, capsys)

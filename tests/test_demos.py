@@ -12,17 +12,8 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "01_autodiff_and_gradients",
-        "02_slot_attention_binding",
-        "03_walk_losses",
-        "04_train_and_segment",
-        "05_metrics_tour",
-    ],
-)
-def test_demo_runs(name, capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(path, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out

@@ -168,6 +168,20 @@ class TestTaskEvaluators:
             evaluate(scenes, params, proj, cfg, 2)
 
     @pytest.mark.parametrize(
+        "evaluate, who",
+        [
+            (evaluate_foreground, "evaluate fg"),
+            (evaluate_discovery, "evaluate discovery"),
+            (lambda *args: semantic_segment(*args, num_classes=2), "semantic_segment"),
+        ],
+        ids=["fg", "discovery", "semantic"],
+    )
+    def test_empty_scene_list_refused(self, evaluate, who):
+        params, proj, cfg = toy_model()
+        with pytest.raises(ConfigError, match=rf"^{who}: no scenes$"):
+            evaluate([], params, proj, cfg, 2)
+
+    @pytest.mark.parametrize(
         "evaluate",
         [evaluate_foreground, evaluate_discovery, lambda *args: semantic_segment(*args, num_classes=2)],
         ids=["fg", "discovery", "semantic"],

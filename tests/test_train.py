@@ -10,6 +10,7 @@ import struct
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from slotwalks.train import (
 )
 from slotwalks.walks import total_loss
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def toy_config(**overrides) -> TrainConfig:
     base = dict(
@@ -64,10 +67,7 @@ def toy_scenes(count=8, seed=0):
 
 class TestSchedule:
     def setup_method(self):
-        self.cfg = toy_config(
-            base_lr=0.0004, warmup_steps=5000, total_steps=250_000,
-            decay_half_life_steps=100_000,
-        )
+        self.cfg = toy_config(base_lr=0.0004, warmup_steps=5000, total_steps=250_000)
 
     def test_step_zero(self):
         assert lr_at(0, self.cfg) == 0.0
@@ -232,7 +232,7 @@ class TestBatchedLoss:
 class TestTrainLoop:
     def test_zero_lr_keeps_parameters(self):
         scenes = toy_scenes()
-        cfg = toy_config(base_lr=0.0, total_steps=6, warmup_steps=0, weight_decay=0.0)
+        cfg = toy_config(base_lr=0.0, total_steps=6, warmup_steps=0)
         result = train(scenes, cfg)
         fresh = train(scenes, dataclasses.replace(cfg, total_steps=1))
         # compare against a freshly initialized model: nothing moved
@@ -376,7 +376,7 @@ class TestCheckpointFormat:
         with pytest.raises(DataFormatError, match="magic"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_version_1_rejected(self, tmp_path, version):
         scenes = toy_scenes()
         cfg = toy_config(total_steps=2, warmup_steps=1)
@@ -613,10 +613,17 @@ class TestConfigText:
         with pytest.raises(DataFormatError, match="line 3"):
             parse_config_text(text)
 
-    def test_attention_width_is_an_unknown_key(self):
-        # the attention width is the slot width; a config may not set it
-        with pytest.raises(DataFormatError, match=r"cfg line 3: unknown key 'attn_dim'"):
-            parse_config_text("num_slots = 3\ninput_dim = 8\nattn_dim = 8\n", source="cfg")
+    @pytest.mark.parametrize("key", ["attn_dim", "clip_norm", "weight_decay", "decay_half_life_steps"])
+    def test_attention_width_is_an_unknown_key(self, key):
+        # the attention width is the slot width, and the optimizer recipe is
+        # fixed; a config may set none of them
+        with pytest.raises(DataFormatError, match=rf"cfg line 3: unknown key '{key}'"):
+            parse_config_text(f"num_slots = 3\ninput_dim = 8\n{key} = 8\n", source="cfg")
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_shipped_config_parses_and_round_trips(self, path):
+        cfg = parse_config_text(path.read_text(), source=str(path))
+        assert parse_config_text(format_config(cfg)) == cfg
 
     def test_bad_value_type(self):
         with pytest.raises(DataFormatError, match="integer"):
@@ -631,7 +638,8 @@ class TestConfigText:
             parse_config_text("num_slots = 3\ninput_dim = 8\ntau = 0.1\ntau = 0.5\n", source="cfg")
 
     @pytest.mark.parametrize(
-        "line", ["tau = inf", "base_lr = nan", "seed = -1", "slot_dim = -2", "slot_dim = 0", "walk_dim = 0"]
+        "line",
+        ["tau = inf", "base_lr = nan", "base_lr = -0.1", "seed = -1", "slot_dim = -2", "slot_dim = 0", "walk_dim = 0"],
     )
     def test_out_of_range_value_names_the_source(self, line):
         with pytest.raises(ConfigError, match=r"^cfg: TrainConfig: \w+ must be"):
