@@ -69,14 +69,19 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
 
 
-def _count(text: str) -> int:
-    try:
-        count = int(text)
-        if count >= 1:
-            return count
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -85,17 +90,17 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="generate synthetic scene files")
     gen.add_argument("--out", required=True, help="output directory for NNNN.ocwf files")
-    gen.add_argument("--scenes", type=_count, default=200)
+    gen.add_argument("--scenes", type=_at_least(1), default=200)
     gen.add_argument("--grid", type=_grid, default=(8, 8), help="grid as HxW (default 8x8)")
     gen.add_argument("--classes", type=int, default=3)
     gen.add_argument("--dim", type=int, default=32)
     gen.add_argument("--noise", type=float, default=0.1)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_at_least(0), default=0)
     gen.add_argument("--layout", choices=["random-rectangles", "voronoi-cells"],
                      default="random-rectangles")
     gen.add_argument("--separation", type=float, default=60.0,
                      help="minimum angle between class mean directions, degrees")
-    gen.add_argument("--mean-seed", type=int, default=0,
+    gen.add_argument("--mean-seed", type=_at_least(0), default=0,
                      help="seed of the shared class mean directions; datasets with the"
                           " same value share class geometry")
 
@@ -113,10 +118,10 @@ def _build_parser() -> _Parser:
     ev.add_argument("--report", default=None, help="write the report here instead of stdout")
 
     gc = sub.add_parser("gradcheck", help="compare gradients against finite differences")
-    gc.add_argument("--n", type=int, default=12)
-    gc.add_argument("--k", type=int, default=3)
-    gc.add_argument("--d", type=int, default=8)
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--n", type=_at_least(1), default=12)
+    gc.add_argument("--k", type=_at_least(1), default=3)
+    gc.add_argument("--d", type=_at_least(1), default=8)
+    gc.add_argument("--seed", type=_at_least(0), default=0)
     gc.add_argument("--tol", type=_tolerance, default=1e-3)
     return parser
 
@@ -153,8 +158,11 @@ def _cmd_train(args) -> int:
     cfg = parse_config_text(text, source=str(cfg_path))
     scenes = load_dataset(args.data)
     result = train(scenes, cfg, out_dir=args.out, resume=args.resume)
-    final = result.losses[-1] if result.losses else float("nan")
-    print(f"trained {result.steps_run} steps, final loss {final:.6f}")
+    if result.records:
+        print(f"trained {len(result.records)} steps to step {result.steps_run},"
+              f" final loss {result.records[-1]['loss']:.6f}")
+    else:
+        print(f"trained 0 steps: already at step {result.steps_run}")
     print(f"checkpoint: {Path(args.out) / 'checkpoint.ocwc'}")
     return 0
 

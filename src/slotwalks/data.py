@@ -74,6 +74,8 @@ class SceneConfig:
             raise ConfigError(f"SceneConfig: feature_dim must be >= 1, got {self.feature_dim}")
         if self.layout not in LAYOUTS:
             raise ConfigError(f"SceneConfig: unknown layout {self.layout!r}, expected one of {LAYOUTS}")
+        if self.mean_seed < 0:
+            raise ConfigError(f"SceneConfig: mean_seed must be >= 0, got {self.mean_seed}")
 
 
 @dataclass

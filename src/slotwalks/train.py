@@ -231,10 +231,12 @@ class TrainResult:
     opt: OptimState
     config: TrainConfig
     steps_run: int
-    losses: list[float] = field(default_factory=list)
-    lrs: list[float] = field(default_factory=list)
-    grad_norms: list[float] = field(default_factory=list)
-    clipped_norms: list[float] = field(default_factory=list)
+    # one _train_step record per step this call ran
+    records: list[dict[str, float]] = field(default_factory=list)
+
+    @property
+    def losses(self) -> list[float]:
+        return [r["loss"] for r in self.records]
 
 
 def _batch_loss(
@@ -262,21 +264,24 @@ def _batch_loss(
     return ad.mul(functools.reduce(ad.add, group_losses), 1.0 / len(indices))
 
 
-def _loss_and_grads(
+def _train_step(
     scenes: Sequence[Scene],
-    indices: np.ndarray,
     params: SlotParams,
     proj: WalkProjection,
+    opt: OptimState,
     cfg: TrainConfig,
     step: int,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """The batch loss and its gradient per named parameter.
+) -> tuple[dict[str, float], dict[str, np.ndarray]]:
+    """One optimizer step on the batch drawn from (cfg.seed, step), updating params in place.
 
-    The step's graph lives only inside this call, and `ad.backward`
-    consumes it: each activation is freed once its gradient has been
-    pushed on, and only the leaves' gradients, which this returns, outlive
-    the walk.
+    Returns the step's record (`step`, the batch `loss`, the `lr` applied,
+    and the gradient norm before and after clipping, `grad_norm` and
+    `clipped_norm`) and the clipped gradients. The step's graph lives only
+    inside this call: `ad.backward` frees each activation once its gradient
+    has been pushed on.
     """
+    rng = np.random.default_rng((cfg.seed, step))
+    indices = rng.choice(len(scenes), size=cfg.batch_size, replace=cfg.batch_size > len(scenes))
     lifted_params, lifted_proj = params.lift(ad.leaf), proj.lift(ad.leaf)
     loss = _batch_loss(scenes, indices, lifted_params, lifted_proj, cfg, step)
     loss_value = float(loss.value[0, 0])
@@ -285,8 +290,12 @@ def _loss_and_grads(
             f"non-finite loss at step {step}, batch scenes {indices.tolist()}"
         )
     ad.backward(loss)
-    named = _named_parameters(lifted_params, lifted_proj)
-    return loss_value, {name: node.grad for name, node in named.items()}
+    grads = {name: node.grad for name, node in _named_parameters(lifted_params, lifted_proj).items()}
+    grads, norm = clip_grad_norm(grads, CLIP_NORM, step)
+    _, post_norm = clip_grad_norm(grads, np.inf)
+    lr = lr_at(step, cfg)
+    adamw_step(_named_parameters(params, proj), grads, opt, lr, WEIGHT_DECAY)
+    return {"step": step, "loss": loss_value, "lr": lr, "grad_norm": norm, "clipped_norm": post_norm}, grads
 
 
 def _open_trace(path: Path, start_step: int):
@@ -347,23 +356,13 @@ def train(
     result = TrainResult(params=params, proj=proj, opt=opt, config=cfg, steps_run=start_step)
     try:
         for step in range(start_step, cfg.total_steps):
-            rng = np.random.default_rng((cfg.seed, step))
-            replace = cfg.batch_size > len(scenes)
-            indices = rng.choice(len(scenes), size=cfg.batch_size, replace=replace)
-
-            loss_value, grads = _loss_and_grads(scenes, indices, params, proj, cfg, step)
-            grads, norm = clip_grad_norm(grads, CLIP_NORM, step)
-            _, post_norm = clip_grad_norm(grads, np.inf)
-            lr = lr_at(step, cfg)
-            adamw_step(_named_parameters(params, proj), grads, opt, lr, WEIGHT_DECAY)
-
-            result.losses.append(loss_value)
-            result.lrs.append(lr)
-            result.grad_norms.append(norm)
-            result.clipped_norms.append(post_norm)
+            # hold the gradients until the next step's replace them: freed at once, they left the heap
+            # top free for glibc to hand back and the next graph to fault in (train-toy steps +4-18%)
+            record, grads = _train_step(scenes, params, proj, opt, cfg, step)
+            result.records.append(record)
             result.steps_run = step + 1
             if trace is not None:
-                trace.write(f"{step}\t{loss_value!r}\t{lr!r}\n")
+                trace.write(f"{record['step']}\t{record['loss']!r}\t{record['lr']!r}\n")
                 trace.flush()
             if (
                 out_path is not None

@@ -292,7 +292,7 @@ def test_criterion_8_schedule_conformance(toy_run):
     left_limit = lr_at(4999, full_scale) + full_scale.base_lr / 5000
     assert abs(left_limit - lr_at(5000, full_scale)) <= 1e-15
 
-    clipped = np.array(toy_run["result"].clipped_norms)
+    clipped = np.array([r["clipped_norm"] for r in toy_run["result"].records])
     assert clipped.max() <= 1.0 + 1e-9
     print(f"\nPASS criterion 8: lr(0)=0, lr(5000)=0.0004, boundary continuous; "
           f"post-clip norm max {clipped.max():.6f} over {len(clipped)} steps")

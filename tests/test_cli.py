@@ -180,14 +180,25 @@ class TestTrain:
         full = tmp_path / "full"
         rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(full)])
         assert rc == 0
+        capsys.readouterr()
         resumed = tmp_path / "resumed"
         rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(resumed),
                    "--resume", str(full / "checkpoint_000020.ocwc")])
         assert rc == 0
+        from_half = capsys.readouterr().out.splitlines()[0]
         full_lines = (full / "trace.txt").read_text().splitlines()
         resumed_lines = (resumed / "trace.txt").read_text().splitlines()
         assert resumed_lines == full_lines[20:]
         assert (full / "checkpoint.ocwc").read_bytes() == (resumed / "checkpoint.ocwc").read_bytes()
+        rc = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "done"),
+                   "--resume", str(full / "checkpoint.ocwc")])
+        assert rc == 0
+        from_end = capsys.readouterr().out.splitlines()[0]
+        final_loss = float(full_lines[-1].split("\t")[1])
+        assert (from_half, from_end) == (
+            f"trained 20 steps to step 40, final loss {final_loss:.6f}",
+            "trained 0 steps: already at step 40",
+        )
 
     def test_missing_data_dir(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -329,6 +340,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["explode"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("gen", "--seed"), ("gen", "--mean-seed"), ("gradcheck", "--seed"), ("gradcheck", "--n")],
+        ids=["gen-seed", "gen-mean-seed", "gradcheck-seed", "gradcheck-n"],
+    )
+    def test_negative_seed_or_size_is_usage_error_naming_the_flag(self, tmp_path, capsys, command, flag):
+        out = ["--out", str(tmp_path / "x")] if command == "gen" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *out, flag, "-1"])
+        assert exc.value.code == 1
+        assert f"argument {flag}: expected an integer >= " in capsys.readouterr().err
 
     def test_console_script_runs(self, tmp_path):
         proc = subprocess.run(

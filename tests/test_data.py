@@ -32,6 +32,10 @@ class TestSceneConfig:
         with pytest.raises(ConfigError):
             SceneConfig(layout="spiral")
 
+    def test_negative_mean_seed(self):
+        with pytest.raises(ConfigError, match="mean_seed must be >= 0"):
+            SceneConfig(mean_seed=-1)
+
     @pytest.mark.parametrize("height, width, classes", [(-2, -3, 3), (-1, -1, 1)])
     def test_grid_below_one_cell_per_side(self, height, width, classes):
         with pytest.raises(ConfigError, match="must be at least 1x1"):

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import json
 import os
 import re
 import struct
@@ -27,7 +28,6 @@ from slotwalks.train import (
     TrainConfig,
     _batch_loss,
     _init_model,
-    _loss_and_grads,
     _named_parameters,
     adamw_step,
     clip_grad_norm,
@@ -197,8 +197,9 @@ class TestBatchedLoss:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_parameter_gets_a_gradient(self, seed):
         cfg = toy_config(seed=seed)
-        params, proj = _init_model(cfg)
-        _, grads = _loss_and_grads(toy_scenes(), np.arange(cfg.batch_size), params, proj, cfg, step=0)
+        params, proj = (m.lift(ad.leaf) for m in _init_model(cfg))
+        ad.backward(_batch_loss(toy_scenes(), np.arange(cfg.batch_size), params, proj, cfg, step=0))
+        grads = {name: node.grad for name, node in _named_parameters(params, proj).items()}
         dead = {name: float(np.abs(g).max()) for name, g in grads.items() if np.abs(g).max() <= 1e-8}
         assert not dead, dead
 
@@ -316,12 +317,23 @@ class TestTrainLoop:
             resume=tmp_path / "full" / "checkpoint_000008.ocwc",
         )
         assert resumed.losses == full.losses[8:]
-        assert resumed.lrs == full.lrs[8:]
+        assert resumed.records == full.records[8:]
         for name, arr in resumed.params.named().items():
             assert np.array_equal(arr, full.params.named()[name])
         full_trace = (tmp_path / "full" / "trace.txt").read_text().splitlines()
         resumed_trace = (tmp_path / "resumed" / "trace.txt").read_text().splitlines()
         assert resumed_trace == full_trace[8:]
+
+    def test_trace_lines_are_the_records(self, tmp_path):
+        cfg = toy_config(total_steps=8, warmup_steps=3)
+        result = train(toy_scenes(), cfg, out_dir=tmp_path)
+        lines = (tmp_path / "trace.txt").read_text().splitlines()
+        assert [r["step"] for r in result.records] == list(range(8))
+        assert lines == [f"{r['step']}\t{r['loss']!r}\t{r['lr']!r}" for r in result.records]
+        for r in result.records:
+            assert set(r) == {"step", "loss", "lr", "grad_norm", "clipped_norm"}
+            assert r["lr"] == lr_at(r["step"], cfg)
+            assert json.loads(json.dumps(r)) == r
 
     def test_fresh_run_truncates_old_trace(self, tmp_path):
         scenes = toy_scenes()
