@@ -8,7 +8,7 @@ with a binary feature-file format, a deterministic trainer, inference
 helpers, and segmentation metrics.
 """
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 from . import autodiff
 from .data import Scene, SceneConfig, generate_scene, load_dataset, read_feature_file, write_feature_file

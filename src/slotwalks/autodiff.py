@@ -133,6 +133,11 @@ def matmul(a, b) -> Node:
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions {av.shape} x {bv.shape} do not agree")
     out = _broadcast("matmul", np.matmul, av, bv)
+    if av.ndim > 2 and bv.ndim == 2:
+        # a stack times a shared matrix: the matrix's gradient is one GEMM
+        # over the stacked rows, not one per member and a sum
+        n, m = bv.shape
+        return Node(out, (a, b), (lambda g: g @ bv.T, lambda g: av.reshape(-1, n).T @ g.reshape(-1, m)))
     return Node(
         out,
         (a, b),

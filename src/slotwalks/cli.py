@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .data import SceneConfig, check_feature_width, generate_scene, load_dataset, write_bytes_atomic, write_feature_file
+from .data import SceneConfig, check_features, generate_scene, load_dataset, write_bytes_atomic, write_feature_file
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -170,7 +170,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     scenes = load_dataset(args.data)
-    check_feature_width(scenes, ckpt.config.input_dim, f"eval of {args.checkpoint} on {args.data}")
+    check_features(scenes, ckpt.config.input_dim, f"eval of {args.checkpoint} on {args.data}")
     walk = ckpt.config.walk()
     iterations = ckpt.config.iterations
     if args.task == "fg":

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, DegenerateInputError
 
 MAGIC = b"OCWF"
 FORMAT_VERSION = 1
@@ -195,12 +195,29 @@ def write_bytes_atomic(path, data: bytes) -> None:
         raise
 
 
+def _non_finite_cell(features: np.ndarray) -> int | None:
+    """The first cell (row) holding a NaN or inf, None when every feature is finite."""
+    finite = np.isfinite(features).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def write_feature_file(path, scene: Scene) -> None:
-    """Write a scene as .ocwf; float64 features are truncated to float32."""
+    """Write a scene as .ocwf; float64 features are truncated to float32.
+
+    Raises DataFormatError, naming the path and the first bad cell and
+    writing nothing, when a feature is not finite or overflows float32:
+    the reader would refuse the file.
+    """
     n, dim = scene.features.shape
     has_labels = scene.labels is not None
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, n, dim, 1 if has_labels else 0, 0, 0)
-    payload = scene.features.astype("<f4").tobytes()
+    # the cast turns a value beyond float32's range into inf, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = scene.features.astype("<f4")
+    cell = _non_finite_cell(stored)
+    if cell is not None:
+        raise DataFormatError(f"{path}: feature in cell {cell} is not a finite float32")
+    payload = stored.tobytes()
     if has_labels:
         labels = np.asarray(scene.labels)
         if labels.shape != (n,):
@@ -233,9 +250,9 @@ def read_feature_file(path) -> Scene:
     offset = _HEADER.size
     stored = np.frombuffer(raw, dtype="<f4", count=n * dim, offset=offset).reshape(n, dim)
     # checked before the cast: casting a signalling NaN raises a warning first
-    finite = np.isfinite(stored).all(axis=1)
-    if not finite.all():
-        raise DataFormatError(f"{path}: non-finite feature in cell {int(np.argmin(finite))}")
+    cell = _non_finite_cell(stored)
+    if cell is not None:
+        raise DataFormatError(f"{path}: non-finite feature in cell {cell}")
     features = stored.astype(np.float64)
     labels = None
     if label_flag:
@@ -244,14 +261,21 @@ def read_feature_file(path) -> Scene:
     return Scene(features=features, labels=labels, name=Path(path).name)
 
 
-def check_feature_width(scenes: Sequence[Scene], input_dim: int, who: str) -> None:
-    """Raise ConfigError, naming the scene, at the first scene whose features are not input_dim wide."""
+def check_features(scenes: Sequence[Scene], input_dim: int, who: str) -> None:
+    """Raise at the first scene whose features are not input_dim wide or not finite, naming it.
+
+    A wrong width is a ConfigError, a NaN or inf a DegenerateInputError
+    that also names the cell.
+    """
     for i, scene in enumerate(scenes):
         if scene.dim != input_dim:
             raise ConfigError(
                 f"{who}: scene {scene.name or i} has feature width {scene.dim},"
                 f" the model's input_dim is {input_dim}"
             )
+        cell = _non_finite_cell(scene.features)
+        if cell is not None:
+            raise DegenerateInputError(f"{who}: scene {scene.name or i} has a non-finite feature in cell {cell}")
 
 
 def load_dataset(directory) -> list[Scene]:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import Scene, check_feature_width, group_by_cells, write_bytes_atomic
+from .data import Scene, check_features, group_by_cells, write_bytes_atomic
 from .errors import ConfigError, DataFormatError, ShapeError, UndefinedMetricError
 from .metrics import EvalReport, ari_fg, assign_classes, dice, kmeans, miou
 from .slots import SlotParams, encode
@@ -27,7 +27,7 @@ def _prelude(scenes: Sequence[Scene], params: SlotParams, proj: WalkProjection, 
     """(scenes in name order, their labels, params and proj lifted as constants).
 
     The order fixes pooling and report rows; every scene must carry labels
-    and match the model's feature width.
+    and finite features of the model's width.
     """
     if not scenes:
         raise ConfigError(f"{who}: no scenes")
@@ -35,7 +35,7 @@ def _prelude(scenes: Sequence[Scene], params: SlotParams, proj: WalkProjection, 
     for i, scene in enumerate(ordered):
         if scene.labels is None:
             raise UndefinedMetricError(f"{who}: scene {scene.name or i} has no ground-truth labels")
-    check_feature_width(ordered, params.input_dim, who)
+    check_features(ordered, params.input_dim, who)
     labels = [np.asarray(s.labels) for s in ordered]
     return ordered, labels, params.lift(ad.constant), proj.lift(ad.constant)
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigError, ShapeError, UndefinedMetricError
+from .errors import ConfigError, DegenerateInputError, ShapeError, UndefinedMetricError
 
 _TIE_TOL = 1e-9
 
@@ -96,6 +95,13 @@ def assign_classes(score) -> list[tuple[int, int]]:
     score = np.asarray(score, dtype=np.float64)
     if score.ndim != 2 or score.shape[0] < 1 or score.shape[1] < 1:
         raise ShapeError(f"assign_classes: expected a K x C matrix, got {score.shape}")
+    bad = np.argwhere(~np.isfinite(score))
+    if bad.size:
+        r, c = bad[0]
+        raise DegenerateInputError(f"assign_classes: score[{r}, {c}] is {score[r, c]}, not finite")
+    # imported here, not at module level: scipy.optimize adds about 50 MB to a
+    # process's RSS, and training never assigns classes
+    from scipy.optimize import linear_sum_assignment
 
     def best(rows: list[int], cols: list[int]) -> float:
         if not rows or not cols:

@@ -6,6 +6,14 @@ slots (queries) are normalized first across slots at every location, so
 slots compete for each location, and then across locations per slot, so
 each slot pools a weighted mean of the value vectors it won.
 
+Keys and values are never formed. With x the layer-normed N x D features,
+q the K x s queries and s the slot width, the logits are computed as
+x (q W_k^T)^T / sqrt(s), the queries pulled back into feature space, and
+the updates as (weights^T x) W_v, each slot pooling its features before
+W_v maps them. Both equal the keys/values form up to rounding. Per encode
+of T rounds this costs about 2TNDK multiply-adds against 2NDs + 2TNsK,
+less whenever T * K < s, which holds for every shipped configuration.
+
 Parameters may be held as numpy arrays or lifted to autodiff nodes
 (leaves in training, constants in inference); every function here works
 with either. Features may be one scene (N x D) or a stack of scenes with
@@ -160,11 +168,11 @@ def init_slots(params: SlotParams, noise=None):
     return ad.add(params.mu, ad.mul(ad.exp(params.log_sigma), ad.constant(noise)))
 
 
-def _attend(keys, values, slots, params: SlotParams) -> SlotState:
-    """One attention round given precomputed keys/values."""
+def _attend(x_norm, key_map, slots, params: SlotParams) -> SlotState:
+    """One attention round on layer-normed features, given key_map = W_k^T / sqrt(s)."""
     s_norm = ad.layer_norm_rows(slots, params.ln_s_gain)
     queries = ad.matmul(s_norm, params.w_q)
-    logits = ad.mul(ad.matmul(keys, ad.transpose(queries)), 1.0 / math.sqrt(params.slot_dim))
+    logits = ad.matmul(x_norm, ad.transpose(ad.matmul(queries, key_map)))
     attn = ad.softmax_rows(logits, 1.0)
     n = _value(attn).shape[-2]
     # the guard keeps an all-unattended slot from dividing by ~0 while the
@@ -172,19 +180,19 @@ def _attend(keys, values, slots, params: SlotParams) -> SlotState:
     guarded = ad.add(attn, EPS_ATTN)
     col_sums = ad.matmul(ad.constant(np.ones((1, n))), guarded)
     weights = ad.div(guarded, col_sums)
-    updates = ad.matmul(ad.transpose(weights), values)
+    updates = ad.matmul(ad.matmul(ad.transpose(weights), x_norm), params.w_v)
     return SlotState(slots=slots, attn=attn, weights=weights, updates=updates)
 
 
-def _project_features(x, params: SlotParams):
+def _prepare_features(x, params: SlotParams):
+    """(layer-normed features, W_k^T / sqrt(s)): what every round of one encode shares."""
     x_norm = ad.add(ad.layer_norm_rows(x, params.ln_x_gain), params.ln_x_bias)
-    return ad.matmul(x_norm, params.w_k), ad.matmul(x_norm, params.w_v)
+    return x_norm, ad.mul(ad.transpose(params.w_k), 1.0 / math.sqrt(params.slot_dim))
 
 
 def attention_step(x, slots, params: SlotParams) -> SlotState:
     """Single attention round on raw features (layer-norms them first)."""
-    keys, values = _project_features(x, params)
-    return _attend(keys, values, slots, params)
+    return _attend(*_prepare_features(x, params), slots, params)
 
 
 def gru_update(slots, updates, params: SlotParams):
@@ -207,17 +215,17 @@ def encode(x, params: SlotParams, iterations: int, noise=None):
     """Run the encoder for `iterations` rounds; returns (slots, last state).
 
     x is one scene (N x D) or a stack (B x N x D), and noise goes to
-    init_slots as it is. The feature layer-norm and key/value projections
-    are computed once per encode. With iterations == 0 the initial slots
-    are returned unchanged and the state is None.
+    init_slots as it is. The feature layer-norm and the scaled W_k^T are
+    computed once per encode. With iterations == 0 the initial slots are
+    returned unchanged and the state is None.
     """
     if iterations < 0:
         raise ConfigError(f"encode: iterations must be >= 0, got {iterations}")
     slots = init_slots(params, noise)
     state: SlotState | None = None
     if iterations > 0:
-        keys, values = _project_features(x, params)
+        x_norm, key_map = _prepare_features(x, params)
         for _ in range(iterations):
-            state = _attend(keys, values, slots, params)
+            state = _attend(x_norm, key_map, slots, params)
             slots = gru_update(slots, state.updates, params)
     return slots, state

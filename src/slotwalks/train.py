@@ -25,7 +25,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import Scene, check_feature_width, group_by_cells, write_bytes_atomic
+from .data import Scene, check_features, group_by_cells, write_bytes_atomic
 from .errors import CompatibilityError, ConfigError, DataFormatError, ShapeError, TrainingDivergenceError
 from .slots import SlotParams, encode
 from .walks import WalkConfig, WalkProjection, total_loss
@@ -333,7 +333,7 @@ def train(
     for i, scene in enumerate(scenes):
         if scene.n < cfg.num_slots:
             raise ConfigError(f"train: scene {i} has {scene.n} cells, fewer than num_slots={cfg.num_slots}")
-    check_feature_width(scenes, cfg.input_dim, "train")
+    check_features(scenes, cfg.input_dim, "train")
 
     if resume is not None:
         ckpt = load_checkpoint(resume)

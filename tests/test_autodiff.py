@@ -206,6 +206,18 @@ class TestStacks:
         expect = sum(x[i].T @ np.ones((4, 5)) for i in range(3))
         assert np.allclose(w.grad, expect, atol=1e-12)
 
+    def test_shared_matrix_over_two_batch_axes(self):
+        rng = np.random.default_rng(24)
+        x, w, up = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(5, 6)), rng.normal(size=(2, 3, 4, 6))
+        members = [(i, j) for i in range(2) for j in range(3)]
+        a, b = ad.leaf(x), ad.leaf(w)
+        prod = ad.matmul(a, b)
+        assert np.array_equal(prod.value, np.stack([x[m] @ w for m in members]).reshape(2, 3, 4, 6))
+        ad.backward(ad.sum_all(ad.mul(prod, up)))
+        np.testing.assert_allclose(a.grad, np.stack([up[m] @ w.T for m in members]).reshape(x.shape), rtol=1e-12)
+        np.testing.assert_allclose(b.grad, sum(x[m].T @ up[m] for m in members), rtol=1e-12)
+
+
 class TestGraphRetention:
     def test_constant_chain_keeps_no_parents(self):
         c = ad.constant(np.ones((2, 3)))

@@ -191,12 +191,24 @@ class TestFeatureFile:
             read_feature_file(path)
 
     def test_non_finite_features_rejected_naming_the_file(self, tmp_path):
-        features = np.ones((4, 3))
-        features[2, 1] = np.nan
         path = tmp_path / "nan.ocwf"
-        write_feature_file(path, Scene(features=features))
+        write_feature_file(path, Scene(features=np.ones((4, 3))))
+        raw = bytearray(path.read_bytes())
+        cell = len(raw) - 4 * 12 + 4 * 7  # float32 payload ends the file; cell 2, column 1
+        raw[cell : cell + 4] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match=r"nan\.ocwf: non-finite feature in cell 2"):
             read_feature_file(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "beyond-float32"])
+    def test_write_refuses_a_feature_the_reader_would_refuse(self, tmp_path, value):
+        features = np.ones((4, 3))
+        features[2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=r"bad\.ocwf: feature in cell 2 is not a finite float32$"):
+                write_feature_file(tmp_path / "bad.ocwf", Scene(features=features))
+        assert list(tmp_path.iterdir()) == []
 
     def test_signalling_nan_rejected_without_a_warning(self, tmp_path):
         path = tmp_path / "snan.ocwf"

@@ -5,7 +5,7 @@ import pytest
 
 from slotwalks import infer
 from slotwalks.data import Scene, SceneConfig, generate_scene
-from slotwalks.errors import ConfigError, DataFormatError, ShapeError, UndefinedMetricError
+from slotwalks.errors import ConfigError, DataFormatError, DegenerateInputError, ShapeError, UndefinedMetricError
 from slotwalks.infer import (
     evaluate_discovery,
     evaluate_foreground,
@@ -180,6 +180,24 @@ class TestTaskEvaluators:
         params, proj, cfg = toy_model()
         with pytest.raises(ConfigError, match=rf"^{who}: no scenes$"):
             evaluate([], params, proj, cfg, 2)
+
+    @pytest.mark.parametrize(
+        "evaluate, who",
+        [
+            (evaluate_foreground, "evaluate fg"),
+            (evaluate_discovery, "evaluate discovery"),
+            (lambda *args: semantic_segment(*args, num_classes=2), "semantic_segment"),
+        ],
+        ids=["fg", "discovery", "semantic"],
+    )
+    def test_non_finite_feature_names_the_scene_and_the_cell(self, evaluate, who):
+        params, proj, cfg = toy_model()
+        scenes = stacked_scenes(4, 4, 2, count=3)
+        for i, s in enumerate(scenes):
+            s.name = f"{i:04d}.ocwf"
+        scenes[1].features[3, 5] = np.nan
+        with pytest.raises(DegenerateInputError, match=rf"^{who}: scene 0001\.ocwf has a non-finite feature in cell 3$"):
+            evaluate(scenes, params, proj, cfg, 2)
 
     @pytest.mark.parametrize(
         "evaluate",

@@ -1,11 +1,13 @@
 """Tests for overlap metrics, adjusted Rand index, matching, and k-means."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from slotwalks.errors import ConfigError, ShapeError, UndefinedMetricError
+from slotwalks.errors import ConfigError, DegenerateInputError, ShapeError, UndefinedMetricError
 from slotwalks.metrics import EvalReport, ari_fg, assign_classes, dice, kmeans, miou
 
 
@@ -163,6 +165,21 @@ class TestAssignClasses:
         assert len(assign_classes(score)) == 2
         score = rng.random((6, 3))
         assert len(assign_classes(score)) == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_refused_naming_the_entry(self, bad):
+        score = np.random.default_rng(6).random((3, 4))
+        score[1, 2] = bad
+        with pytest.raises(DegenerateInputError, match=r"score\[1, 2\] is .*not finite"):
+            assign_classes(score)
+
+
+def test_package_loads_no_scipy():
+    # assign_classes imports scipy.optimize on use: it adds about 50 MB to a
+    # process's peak RSS, and training never needs it
+    code = "import sys, slotwalks.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 class TestKmeans:

@@ -123,6 +123,18 @@ class TestAttentionStep:
         assert np.allclose(as_value(state.attn), attn, atol=1e-12)
         assert np.allclose(as_value(state.updates), updates, atol=1e-12)
 
+    def test_stack_with_unequal_widths_matches_per_scene_oracle(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 9, 5))
+        p = make_params(3, 5, 4, seed=7)
+        slots = rng.normal(size=(3, 3, 4))
+        state = attention_step(x, slots, p)
+        for i in range(3):
+            attn, w, updates = attention_oracle(x[i], slots[i], p)
+            assert np.allclose(as_value(state.attn)[i], attn, rtol=0, atol=1e-12)
+            assert np.allclose(as_value(state.weights)[i], w, rtol=0, atol=1e-12)
+            assert np.allclose(as_value(state.updates)[i], updates, rtol=0, atol=1e-12)
+
     def test_attn_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         for trial in range(10):

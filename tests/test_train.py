@@ -19,7 +19,14 @@ import pytest
 from slotwalks import autodiff as ad
 from slotwalks.data import SceneConfig, generate_scene, write_feature_file
 from slotwalks.cli import _build_parser, _cmd_eval
-from slotwalks.errors import CompatibilityError, ConfigError, DataFormatError, ShapeError, TrainingDivergenceError
+from slotwalks.errors import (
+    CompatibilityError,
+    ConfigError,
+    DataFormatError,
+    DegenerateInputError,
+    ShapeError,
+    TrainingDivergenceError,
+)
 from slotwalks.infer import write_mask_pgm
 from slotwalks.slots import encode
 from slotwalks.train import (
@@ -27,6 +34,7 @@ from slotwalks.train import (
     OptimState,
     TrainConfig,
     _batch_loss,
+    _from_named,
     _init_model,
     _named_parameters,
     adamw_step,
@@ -203,6 +211,25 @@ class TestBatchedLoss:
         dead = {name: float(np.abs(g).max()) for name, g in grads.items() if np.abs(g).max() <= 1e-8}
         assert not dead, dead
 
+    def test_stack_passes_finite_differences_with_three_widths(self, monkeypatch):
+        # input, slot and walk widths all differ, so every shared weight of the
+        # stack takes its gradient through a distinct, non-square product
+        geometry = SceneConfig(height=2, width=3, classes=2, feature_dim=5, noise_std=0.1)
+        scenes = [generate_scene(geometry, seed=(4, i)) for i in range(3)]
+        cfg = TrainConfig(num_slots=2, input_dim=5, slot_dim=4, walk_dim=3, iterations=2, batch_size=3, seed=1)
+        indices = np.array([2, 0, 1])
+        params, proj = _init_model(cfg)
+        # the pwp target is detached: its feature rows stay at the base point, as in gradcheck
+        x = np.stack([scenes[i].features for i in indices])
+        frozen_target = functools.partial(total_loss, pwp_frozen_feats=x @ proj.p_x)
+        monkeypatch.setattr(sys.modules["slotwalks.train"], "total_loss", frozen_target)
+
+        def make_loss(nodes):
+            return _batch_loss(scenes, indices, *_from_named(nodes), cfg, step=3)
+
+        errors = ad.check_gradients(make_loss, _named_parameters(params, proj))
+        assert max(errors.values()) <= 1e-3, errors
+
     def test_train_accepts_mixed_cell_counts(self):
         cfg_big = SceneConfig(height=5, width=4, classes=2, feature_dim=8, noise_std=0.1)
         scenes = toy_scenes(count=4) + [generate_scene(cfg_big, seed=(1, i)) for i in range(4)]
@@ -291,6 +318,15 @@ class TestTrainLoop:
         scenes = [generate_scene(cfg, seed=0)]
         with pytest.raises(ConfigError):
             train(scenes, toy_config(num_slots=3))
+
+    def test_non_finite_feature_refused_before_the_first_step(self, monkeypatch):
+        scenes = toy_scenes()
+        scenes[3].features[5, 0] = np.inf
+        steps = []
+        monkeypatch.setattr(sys.modules["slotwalks.train"], "_train_step", lambda *args: steps.append(args))
+        with pytest.raises(DegenerateInputError, match=r"^train: scene 3 has a non-finite feature in cell 5$"):
+            train(scenes, toy_config(total_steps=2, warmup_steps=1))
+        assert steps == []
 
     def test_divergent_loss_names_the_batch(self, monkeypatch):
         import sys
